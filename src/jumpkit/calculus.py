@@ -11,6 +11,11 @@ The jump integral belongs in the dt part of the dynamics whether or not
 the noise is compensated; dropping it would leave the expectation identity
 checked by ``dynkin_residual`` systematically biased, so it is always
 included here.
+
+Paths come from the one batched Euler kernel of :mod:`jumpkit.sde`; a path
+jumping inside a grid step leaves its base-step normal unused.  Fields and
+coefficients may receive an array of sub-step times in ``t``, as
+``ito_residual`` passes a whole path's left grid times.
 """
 
 from dataclasses import dataclass
@@ -19,8 +24,10 @@ import numpy as np
 
 from .distributions import expectation
 from .errors import NumericalError, ParameterError
-from .mc import estimate_from_samples, replicate
-from .sde import simulate_jump_diffusion
+from .mc import estimate_from_samples, map_blocks
+from .sde import _simulate_batch
+
+_BLOCK_SIZE = 1024  # paths per block; larger blocks amortise per-step overhead
 
 
 @dataclass
@@ -101,15 +108,7 @@ def generator_apply(spec, field, t, x):
                 inc = inc - dfx[..., None] * size
             return inc
 
-        dist = spec.mark_distribution
-        if hasattr(dist, "values"):
-            jump_term = np.sum(dist.probs * _increment(dist.values), axis=-1)
-        else:
-            lo, hi = dist.support
-            nodes, weights = np.polynomial.legendre.leggauss(64)
-            zs = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            ws = 0.5 * (hi - lo) * weights * dist.pdf(zs)
-            jump_term = np.sum(ws * _increment(zs), axis=-1)
+        jump_term = expectation(spec.mark_distribution, _increment)
         if not np.all(np.isfinite(np.atleast_1d(jump_term))):
             raise NumericalError("jump expectation quadrature returned non-finite values")
         out = out + spec.jump_intensity * jump_term
@@ -159,17 +158,16 @@ def dynkin_residual(spec, field, x0, t, dt, n_paths, stream, workers=1):
 
     estimated over ``n_paths`` independent paths.  The integral uses
     left-point values on the simulation grid, matching the Euler order.
+    Block b of paths draws from substream b, whatever the worker count.
     """
     if n_paths < 2:
         raise ParameterError("n_paths must be at least 2")
 
-    def _one(sub, _i):
-        path = simulate_jump_diffusion(spec, x0, t, dt, sub)
-        tl = path.times[:-1]
-        xl = path.states[:-1]
-        lf = np.asarray(generator_apply(spec, field, tl, xl), dtype=float)
-        integral = np.sum(lf * np.diff(path.times))
-        return field.value(t, path.final_state) - field.value(0.0, x0) - integral
+    def _block(sub, lo, hi):
+        x, integral, _, _ = _simulate_batch(
+            spec, x0, t, dt, sub.generator, hi - lo,
+            integrand=lambda s, y: generator_apply(spec, field, s, y))
+        return field.value(t, x) - field.value(0.0, x0) - integral
 
-    samples = replicate(_one, n_paths, stream, workers=workers)
-    return estimate_from_samples(samples)
+    blocks = map_blocks(_block, n_paths, stream, _BLOCK_SIZE, workers=workers)
+    return estimate_from_samples(np.concatenate(blocks))

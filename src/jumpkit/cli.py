@@ -18,6 +18,7 @@ One scenario per config file.  ``kind`` selects the computation:
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,14 @@ class Scenario:
 
 def _fmt(value):
     return f"{float(value):.17g}"
+
+
+def _finite_number(text):
+    """JSON number hook: reject NaN, Infinity and overflowing literals."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
 
 
 def _require(doc, field, kinds=None, ctx=""):
@@ -142,10 +151,7 @@ def _make_source(doc):
     kind = _require(doc, "type", str, "source.")
     if kind == "iid":
         symbols = [_normalize_symbol(s) for s in _require(doc, "symbols", list, "source.")]
-        probs = _require(doc, "probs", list, "source.")
-        if len(symbols) != len(probs):
-            raise ConfigError("source.symbols and source.probs must have equal length")
-        return IIDSource(symbols=tuple(symbols), probs=np.asarray(probs, dtype=float))
+        return IIDSource(symbols=tuple(symbols), probs=_require(doc, "probs", list, "source."))
     if kind == "markov":
         states = [_normalize_symbol(s) for s in _require(doc, "states", list, "source.")]
         matrix = _require(doc, "matrix", list, "source.")
@@ -460,7 +466,7 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         try:
-            document = json.loads(text)
+            document = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON: {exc}") from exc
         if args.seed is not None:

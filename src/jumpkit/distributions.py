@@ -148,17 +148,20 @@ def expectation(dist, fn):
 
     Discrete laws are summed exactly; bounded continuous laws are
     integrated with a fixed 64-node Gauss-Legendre rule on their declared
-    support, which keeps the result deterministic across runs.
+    support, which keeps the result deterministic across runs.  ``fn`` may
+    put the nodes on the last axis of a larger array; the sum runs over it.
     """
     if hasattr(dist, "values"):
-        return float(np.sum(dist.probs * np.asarray(fn(dist.values), dtype=float)))
-    if hasattr(dist, "pdf") and hasattr(dist, "support"):
+        nodes, weights = dist.values, dist.probs
+    elif hasattr(dist, "pdf") and hasattr(dist, "support"):
         lo, hi = dist.support
-        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights
-        return float(np.sum(w * dist.pdf(x) * np.asarray(fn(x), dtype=float)))
-    raise ParameterError(
-        "distribution must be discrete (values/probs) or continuous with "
-        "bounded support (pdf/support) to take expectations"
-    )
+        z, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        nodes = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
+        weights = 0.5 * (hi - lo) * w * dist.pdf(nodes)
+    else:
+        raise ParameterError(
+            "distribution must be discrete (values/probs) or continuous with "
+            "bounded support (pdf/support) to take expectations"
+        )
+    out = np.sum(weights * np.asarray(fn(nodes), dtype=float), axis=-1)
+    return out if np.ndim(out) else float(out)

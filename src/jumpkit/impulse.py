@@ -16,6 +16,11 @@ the orientation: for cost minimisation the generator inequality holds with
 ">=", so the defect rather than a signed maximum is the meaningful
 residual.
 
+Closed-loop paths and cost estimates come from the one batched Euler
+kernel of :mod:`jumpkit.sde`: a path jumping inside a grid step leaves its
+base-step normal unused and meets the policy at each jump instant, so the
+cost callables may receive an array of sub-step times.
+
 Infinite-horizon discounted problems fold e^{-rho t} into the running and
 intervention costs and factor candidates as phi(t, x) = e^{-rho t} psi(x).
 Uniform integrability of the controlled candidate values, needed for the
@@ -30,17 +35,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .calculus import ScalarField, generator_apply
-from .errors import (
-    ChatteringError,
-    DegeneratePolicyError,
-    NumericalBlowupError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import DegeneratePolicyError, NumericalError, ParameterError
 from .mc import EstimateWithCI, estimate_from_samples, map_blocks
-from .sde import InterventionRecord, JumpRecord, SamplePath, _sample_jump_schedule
-
-BLOWUP_THRESHOLD = 1e12
+from .sde import _simulate_batch
 
 
 @dataclass
@@ -404,69 +401,12 @@ def simulate_controlled(problem, policy, y0, horizon, dt, stream,
     The state is checked at every grid and jump time (including t = 0);
     the first check that finds it outside D applies the policy's impulse
     at that instant.  Exceeding ``max_interventions`` raises
-    :class:`ChatteringError`.
+    :class:`ChatteringError`; landing outside D, :class:`NumericalError`.
     """
-    spec = problem.dynamics
-    if dt <= 0 or horizon <= 0:
-        raise ParameterError("dt and horizon must be positive")
-    jump_times, marks = _sample_jump_schedule(
-        stream.generator, spec.jump_intensity, spec.mark_distribution, horizon
-    )
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-12)))
-    base = np.linspace(0.0, horizon, n_steps + 1)
-    times = np.unique(np.concatenate([base, jump_times]))
-    jump_at = {}
-    for j, k in enumerate(np.searchsorted(times, jump_times)):
-        jump_at.setdefault(int(k), []).append(j)
-
-    gen = stream.generator
-    normals = gen.standard_normal(times.size - 1)
-
-    states = np.empty_like(times)
-    pre_states = np.empty_like(times)
-    jumps = []
-    interventions = []
-    x = float(y0)
-    n_int = 0
-
-    def _apply_policy(k, t, value):
-        nonlocal n_int
-        if policy.contains(value):
-            return value
-        z = policy.impulse(value)
-        interventions.append(InterventionRecord(index=k, time=float(t), impulse=float(z)))
-        value = value + z
-        n_int += 1
-        if n_int > max_interventions:
-            raise ChatteringError(f"more than {max_interventions} interventions by t={t}")
-        if not policy.contains(value):
-            raise NumericalError("impulse failed to return the state to the continuation region")
-        return value
-
-    pre_states[0] = x
-    x = _apply_policy(0, 0.0, x)
-    states[0] = x
-
-    for k in range(times.size - 1):
-        t, t_next = times[k], times[k + 1]
-        h = t_next - t
-        mu = spec.effective_drift(t, x)
-        x_new = x + mu * h + spec.diffusion(t, x) * np.sqrt(h) * normals[k]
-        pre_states[k + 1] = x_new
-        for j in jump_at.get(k + 1, ()):
-            size = spec.jump_coefficient(t_next, x_new, marks[j])
-            jumps.append(JumpRecord(index=k + 1, time=float(t_next),
-                                    mark=float(marks[j]), size=float(size)))
-            x_new = x_new + size
-        if not np.isfinite(x_new) or abs(x_new) > BLOWUP_THRESHOLD:
-            raise NumericalBlowupError(f"state blew up at t={t_next}", time=float(t_next))
-        if k + 1 < times.size - 1:
-            x_new = _apply_policy(k + 1, t_next, x_new)
-        states[k + 1] = x_new
-        x = float(x_new)
-
-    return SamplePath(times=times, states=states, pre_states=pre_states,
-                      jumps=jumps, interventions=interventions)
+    _, _, _, paths = _simulate_batch(problem.dynamics, y0, horizon, dt, stream.generator, 1,
+                                     policy=policy, max_interventions=max_interventions,
+                                     record=True)
+    return paths[0]
 
 
 @dataclass(frozen=True)
@@ -501,94 +441,19 @@ def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
     Paths are simulated in fixed blocks, block b on substream b, so the
     result is bit-identical for any worker count.
     """
-    spec = problem.dynamics
     if problem.horizon is not None:
         horizon = problem.horizon
     elif horizon is None:
         horizon = 14.0 / problem.discount
-    n_steps = max(1, int(round(horizon / dt)))
-    h = horizon / n_steps
 
     def _block(sub, lo, hi):
-        gen = sub.generator
-        size = hi - lo
-        schedules = [
-            _sample_jump_schedule(gen, spec.jump_intensity, spec.mark_distribution, horizon)
-            for _ in range(size)
-        ]
-        ptr = np.zeros(size, dtype=np.int64)
-        next_jump = np.array(
-            [s[0][0] if s[0].size else np.inf for s in schedules], dtype=float
-        )
-        x = np.full(size, float(y0))
-        cost = np.zeros(size)
-        n_int = np.zeros(size, dtype=np.int64)
-        peak = np.zeros(size)
-
-        def _intervene(t):
-            out = ~policy.contains(x)
-            if not np.any(out):
-                return
-            z = policy.impulse(x[out])
-            cost[out] += problem.intervention_cost(t, x[out], z)
-            x[out] = x[out] + z
-            n_int[out] += 1
-            if np.any(n_int > max_interventions):
-                raise ChatteringError(f"a path exceeded {max_interventions} interventions")
-            if np.any(~policy.contains(x[out])):
-                raise NumericalError("impulse failed to return a path to the continuation region")
-
-        for k in range(n_steps):
-            t = k * h
-            te = t + h
-            _intervene(t)
-            run_left = problem.running_cost(t, x)
-            z_vec = gen.standard_normal(size)
-            jumping = next_jump <= te
-            plain = ~jumping
-            if np.any(plain):
-                xp = x[plain]
-                x_new = xp + spec.effective_drift(t, xp) * h \
-                    + spec.diffusion(t, xp) * np.sqrt(h) * z_vec[plain]
-                cost[plain] += 0.5 * h * (run_left[plain] + problem.running_cost(te, x_new))
-                x[plain] = x_new
-            # paths with a jump this step take exact sub-steps with their
-            # own normals; their entry in z_vec goes unused by design
-            for i in np.where(jumping)[0]:
-                jt, jm = schedules[i]
-                ti, xi, acc = t, x[i], 0.0
-                left = float(run_left[i])
-                while ptr[i] < jt.size and jt[ptr[i]] <= te:
-                    tau = float(jt[ptr[i]])
-                    hs = tau - ti
-                    xi = xi + spec.effective_drift(ti, xi) * hs \
-                        + spec.diffusion(ti, xi) * np.sqrt(hs) * gen.standard_normal()
-                    arr = float(problem.running_cost(tau, xi))
-                    acc += 0.5 * hs * (left + arr)
-                    xi = xi + spec.jump_coefficient(tau, xi, jm[ptr[i]])
-                    ptr[i] += 1
-                    if not policy.contains(xi):
-                        z = float(policy.impulse(xi))
-                        acc += float(problem.intervention_cost(tau, xi, z))
-                        xi = xi + z
-                        n_int[i] += 1
-                    left = float(problem.running_cost(tau, xi))
-                    ti = tau
-                hs = te - ti
-                if hs > 0:
-                    xi = xi + spec.effective_drift(ti, xi) * hs \
-                        + spec.diffusion(ti, xi) * np.sqrt(hs) * gen.standard_normal()
-                acc += 0.5 * hs * (left + float(problem.running_cost(te, xi)))
-                cost[i] += acc
-                x[i] = xi
-                next_jump[i] = jt[ptr[i]] if ptr[i] < jt.size else np.inf
-            worst = np.max(np.abs(x))
-            if not np.isfinite(worst) or worst > BLOWUP_THRESHOLD:
-                raise NumericalBlowupError(f"a path blew up near t={te}", time=float(te))
-            peak = np.maximum(peak, np.abs(x))
+        x, cost, peak, _ = _simulate_batch(
+            problem.dynamics, y0, horizon, dt, sub.generator, hi - lo, policy=policy,
+            intervention_cost=problem.intervention_cost, max_interventions=max_interventions,
+            integrand=problem.running_cost, trapezoid=True)
         if problem.horizon is not None and problem.terminal_cost is not None:
-            cost += problem.terminal_cost(horizon, x)
-        return cost, np.max(peak)
+            cost = cost + problem.terminal_cost(horizon, x)
+        return cost, peak
 
     results = map_blocks(_block, n_paths, stream, block_size, workers=workers)
     costs = np.concatenate([c for c, _ in results])

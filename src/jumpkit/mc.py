@@ -43,19 +43,13 @@ def estimate_from_samples(samples):
 def replicate(kernel, n, stream, workers=1):
     """Run ``kernel(substream, i)`` for ``i in range(n)`` and stack results.
 
-    Each replication draws only from its own substream; ``workers`` merely
-    parallelises the schedule and cannot change any output bit.
+    This is :func:`map_blocks` with blocks of one: replication ``i`` draws
+    only from substream ``i``, and ``workers`` merely parallelises the
+    schedule and cannot change any output bit.
     """
     if n < 1:
         raise ValueError("replication count must be positive")
-    if workers <= 1:
-        results = [kernel(stream.substream(i), i) for i in range(n)]
-    else:
-        def _run(i):
-            return kernel(stream.substream(i), i)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, range(n)))
+    results = map_blocks(lambda sub, lo, _hi: kernel(sub, lo), n, stream, 1, workers=workers)
     return np.asarray(results, dtype=float)
 
 
@@ -74,14 +68,12 @@ def map_blocks(block_kernel, n, stream, block_size, workers=1):
     Results are returned in block order as a list; callers concatenate or
     reduce them deterministically.
     """
-    ranges = block_ranges(n, block_size)
-    if workers <= 1:
-        return [block_kernel(stream.substream(b), lo, hi)
-                for b, (lo, hi) in enumerate(ranges)]
-
-    def _run(args):
-        b, (lo, hi) = args
+    def _run(job):
+        b, (lo, hi) = job
         return block_kernel(stream.substream(b), lo, hi)
 
+    jobs = enumerate(block_ranges(n, block_size))
+    if workers <= 1:
+        return list(map(_run, jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run, enumerate(ranges)))
+        return list(pool.map(_run, jobs))

@@ -131,18 +131,24 @@ def _check_overlap_hypothesis(pattern):
 
 @dataclass(frozen=True)
 class IIDSource:
-    """Finite-alphabet iid symbol source."""
+    """Finite-alphabet iid symbol source; ``probs`` is validated on construction."""
 
     symbols: tuple
     probs: np.ndarray
 
+    def __post_init__(self):
+        symbols, probs = tuple(self.symbols), np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "probs", probs)
+        # a NaN or infinite entry fails the sum test
+        if probs.shape != (len(symbols),) or np.any(probs < 0) \
+                or not abs(probs.sum() - 1.0) <= 1e-9:
+            raise ParameterError("need one nonnegative probability per symbol, summing to 1")
+
     @classmethod
     def from_mapping(cls, mapping):
         symbols = tuple(mapping.keys())
-        probs = np.asarray([mapping[s] for s in symbols], dtype=float)
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ParameterError("symbol probabilities must be nonnegative and sum to 1")
-        return cls(symbols=symbols, probs=probs)
+        return cls(symbols=symbols, probs=[mapping[s] for s in symbols])
 
     def prob_of(self, symbol):
         try:
@@ -158,8 +164,8 @@ class MarkovChain:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ParameterError("transition matrix must be square")
-        if np.any(matrix < 0):
-            raise ParameterError("transition probabilities must be nonnegative")
+        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+            raise ParameterError("transition probabilities must be finite and nonnegative")
         if np.max(np.abs(matrix.sum(axis=1) - 1.0)) > 1e-12:
             raise ParameterError("every row of the transition matrix must sum to 1")
         self.matrix = matrix

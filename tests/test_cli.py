@@ -215,3 +215,50 @@ def test_float_formatting_17_digits(tmp_path):
     for line in lines[1:]:
         value = line.split(",")[1]
         assert float(value) == float(f"{float(value):.17g}")  # round-trips exactly
+
+
+SIMULATE_DOC = {
+    "kind": "simulate",
+    "seed": 11,
+    "parameters": {
+        "x0": 1.0, "horizon": 1.0, "dt": 0.01,
+        "drift": {"type": "linear", "rate": -1.0},
+        "diffusion": {"type": "constant", "value": 0.2},
+    },
+}
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("dt", "NaN"), ("x0", "Infinity"), ("horizon", "-Infinity"), ("dt", "1e999"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, field, literal):
+    doc = {**SIMULATE_DOC, "parameters": {**SIMULATE_DOC["parameters"], field: 123.25}}
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc).replace("123.25", literal), encoding="utf-8")
+    code = main(["--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"non-finite number {literal}" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+def test_non_finite_nested_list_entry_rejected(tmp_path, capsys):
+    doc = {**RACE_DOC, "parameters": {**RACE_DOC["parameters"], "source": {
+        "type": "iid", "symbols": [0, 1], "probs": [0.5, float("nan")]}}}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite number NaN" in capsys.readouterr().err
+
+
+def test_invalid_iid_probabilities_exit_code(tmp_path, capsys):
+    doc = {
+        "kind": "pattern-expect",
+        "seed": 3,
+        "parameters": {
+            "pattern": [1, 1],
+            "source": {"type": "iid", "symbols": [0, 1], "probs": [0.7, 0.7]},
+        },
+    }
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "summing to 1" in capsys.readouterr().err
+    assert not (tmp_path / "pattern_expect.csv").exists()

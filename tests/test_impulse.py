@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from jumpkit import (
     CandidateValue,
+    Discrete,
     ImpulsePolicy,
     ImpulseProblem,
     JumpDiffusionSpec,
@@ -10,10 +13,13 @@ from jumpkit import (
     intervention_operator,
     minimize_over_targets,
     qvi_residual,
+    sample_jump_times,
     simulate_controlled,
+    simulate_jump_diffusion,
+    symmetric_pair,
     synthesize_policy,
 )
-from jumpkit.errors import DegeneratePolicyError, ParameterError
+from jumpkit.errors import ChatteringError, DegeneratePolicyError, NumericalError, ParameterError
 from jumpkit.impulse import default_target_grid
 
 
@@ -286,3 +292,79 @@ def test_cost_worker_invariance(stream):
     ]
     assert results[0].value == results[1].value == results[2].value
     assert results[0].stderr == results[1].stderr == results[2].stderr
+
+
+# ---------------------------------------------------------------------------
+# one stepping kernel behind every simulator
+
+
+def jumpy_problem():
+    """Unstable drift, noise, compensated jumps and discounted costs."""
+    return quiet_problem(
+        dynamics=JumpDiffusionSpec(
+            drift=lambda t, x: 0.3 * np.asarray(x, dtype=float), diffusion=constant(0.4),
+            jump_intensity=2.0, mark_distribution=symmetric_pair(0.5), compensated=True,
+        ),
+        running_cost=lambda t, x: np.exp(-t) * np.asarray(x, dtype=float) ** 2,
+        intervention_cost=lambda t, x, z: np.exp(-t) * (1.0 + np.abs(z)),
+    )
+
+
+def test_never_intervening_control_is_the_free_path(stream):
+    spec = jumpy_problem().dynamics
+    free = simulate_jump_diffusion(spec, 0.5, 3.0, 1e-2, stream.substream(3))
+    controlled = simulate_controlled(jumpy_problem(), ImpulsePolicy.never_intervene(),
+                                     0.5, 3.0, 1e-2, stream.substream(3))
+    assert free.jumps and controlled.interventions == []
+    assert np.array_equal(free.times, controlled.times)
+    assert np.array_equal(free.states, controlled.states)
+    assert np.array_equal(free.pre_states, controlled.pre_states)
+    assert free.jumps == controlled.jumps
+    controlled.validate()
+
+
+def test_single_path_cost_matches_recorded_path(stream):
+    problem = jumpy_problem()
+    policy = band_policy(0.8, 0.2)
+    horizon, dt = 3.0, 1e-2
+    est = estimate_cost(problem, policy, 0.5, 1, dt, stream, horizon=horizon)
+    path = simulate_controlled(problem, policy, 0.5, horizon, dt, stream.substream(0))
+    jump_nodes = {rec.index for rec in path.jumps}
+    assert any(rec.index in jump_nodes for rec in path.interventions)
+    t, pre, post = path.times, path.pre_states, path.states
+    running = np.sum(0.5 * np.diff(t) * (problem.running_cost(t[:-1], post[:-1])
+                                         + problem.running_cost(t[1:], pre[1:])))
+    kicks = sum(problem.intervention_cost(r.time, post[r.index] - r.impulse, r.impulse)
+                for r in path.interventions)
+    assert est.value == pytest.approx(running + kicks, rel=1e-12, abs=1e-12)
+
+
+def kicked_problem():
+    """No drift or noise; jumps of +2 at rate 5."""
+    return quiet_problem(dynamics=JumpDiffusionSpec(
+        drift=constant(0.0), diffusion=constant(0.0),
+        jump_intensity=5.0, mark_distribution=Discrete([2.0], [1.0]),
+    ))
+
+
+def test_chattering_cap_counts_jump_time_impulses(stream):
+    problem, policy = kicked_problem(), band_policy(1.0, 0.0)
+    with pytest.raises(ChatteringError):
+        estimate_cost(problem, policy, 0.0, 4, 1e-2, stream, horizon=10.0,
+                      max_interventions=3)
+    with pytest.raises(ChatteringError):
+        simulate_controlled(problem, policy, 0.0, 10.0, 1e-2, stream, max_interventions=3)
+
+
+def test_jump_time_impulse_landing_outside_region_raises_at_once(stream):
+    problem = kicked_problem()
+    policy = ImpulsePolicy(intervals=((-1.0, 1.0),), grid=np.array([-7.0, -1.0, 1.0, 7.0]),
+                           targets=np.full(4, 5.0))
+    times, _ = sample_jump_times(stream.substream(0), 5.0, Discrete([2.0], [1.0]), 10.0)
+    first = float(times[0])
+    assert first != round(first)  # off the unit grid, so only a jump-time check sees it
+    message = re.escape(f"t={first!r}")
+    with pytest.raises(NumericalError, match=message):
+        estimate_cost(problem, policy, 0.0, 1, 1.0, stream, horizon=10.0)
+    with pytest.raises(NumericalError, match=message):
+        simulate_controlled(problem, policy, 0.0, 10.0, 1.0, stream.substream(0))

@@ -100,6 +100,26 @@ def test_hitting_times_unreachable():
 def test_chain_validation():
     with pytest.raises(ParameterError):
         MarkovChain([[0.7, 0.2], [0.5, 0.5]])
+    with pytest.raises(ParameterError):
+        MarkovChain([[np.nan, 1.0], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("symbols,probs", [
+    ((0, 1), [0.7, 0.7]),
+    ((0, 1), [1.5, -0.5]),
+    ((0, 1), [np.nan, 0.5]),
+    ((0, 1, 2), [0.5, 0.5]),
+])
+def test_iid_source_validation(symbols, probs):
+    with pytest.raises(ParameterError):
+        IIDSource(symbols=symbols, probs=probs)
+
+
+def test_iid_source_from_mapping_goes_through_constructor():
+    source = IIDSource.from_mapping({"a": 0.25, "b": 0.75})
+    assert source.symbols == ("a", "b") and np.array_equal(source.probs, [0.25, 0.75])
+    with pytest.raises(ParameterError):
+        IIDSource.from_mapping({"a": 0.7, "b": 0.7})
 
 
 # ---------------------------------------------------------------------------

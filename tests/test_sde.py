@@ -125,3 +125,19 @@ def test_determinism_across_reruns():
     b = simulate_jump_diffusion(spec, 0.5, 1.0, 1e-3, derive_stream(3, 9))
     assert np.array_equal(a.states, b.states)
     assert [(r.index, r.mark) for r in a.jumps] == [(r.index, r.mark) for r in b.jumps]
+
+
+@pytest.mark.parametrize("xs", [[0.2, 0.4], [0.2, 0.4, -1.3]])
+def test_state_dependent_compensator_on_batches(xs):
+    spec = JumpDiffusionSpec(
+        drift=constant(0.0), diffusion=constant(0.0),
+        jump_intensity=1.0, mark_distribution=Discrete([0.5, 1.5], [0.5, 0.5]),
+        jump_coefficient=lambda t, x, z: x * z, compensated=True,
+    )
+    xs = np.array(xs)
+    batched = spec.compensator(0.0, xs)
+    scalars = [spec.compensator(0.0, float(x)) for x in xs]
+    assert batched.shape == xs.shape
+    assert np.allclose(batched, xs, rtol=0, atol=1e-15)
+    assert np.array_equal(batched, scalars)
+    assert np.array_equal(spec.effective_drift(0.0, xs), -batched)
