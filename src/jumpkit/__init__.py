@@ -30,6 +30,7 @@ from .impulse import (
     ImpulseProblem,
     QVIReport,
     ValueVerification,
+    affine_intervention_operator,
     estimate_cost,
     intervention_operator,
     minimize_over_targets,

@@ -83,6 +83,20 @@ def _require(doc, field, kinds=None, ctx=""):
     return value
 
 
+def _number(value, name):
+    """A config number as a float: bools, non-numbers and ints beyond float range fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {name} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"field {name} is out of float range") from None
+
+
+def _require_number(doc, field, ctx=""):
+    return _number(_require(doc, field, ctx=ctx), ctx + field)
+
+
 def parse_config(document):
     """Validate a scenario document; the diagnostic names the first problem."""
     if not isinstance(document, dict):
@@ -111,31 +125,31 @@ def parse_config(document):
 def _make_distribution(doc, ctx="distribution."):
     kind = _require(doc, "type", str, ctx)
     if kind == "exponential":
-        return Exponential(rate=_require(doc, "rate", (int, float), ctx))
+        return Exponential(rate=_require_number(doc, "rate", ctx))
     if kind == "uniform":
-        return Uniform(lo=_require(doc, "lo", (int, float), ctx),
-                       hi=_require(doc, "hi", (int, float), ctx))
+        return Uniform(lo=_require_number(doc, "lo", ctx), hi=_require_number(doc, "hi", ctx))
     if kind == "deterministic":
-        return Deterministic(value=_require(doc, "value", (int, float), ctx))
+        return Deterministic(value=_require_number(doc, "value", ctx))
     if kind == "discrete":
-        return Discrete(values=_require(doc, "values", list, ctx),
-                        probs=_require(doc, "probs", list, ctx))
+        return Discrete(values=[_number(v, ctx + "values")
+                                for v in _require(doc, "values", list, ctx)],
+                        probs=[_number(v, ctx + "probs") for v in _require(doc, "probs", list, ctx)])
     if kind == "bernoulli":
-        return bernoulli(_require(doc, "p", (int, float), ctx))
+        return bernoulli(_require_number(doc, "p", ctx))
     raise ConfigError(f"unknown {ctx}type: {kind}")
 
 
 def _make_coefficient(doc, ctx):
     kind = _require(doc, "type", str, ctx)
     if kind == "constant":
-        v = float(_require(doc, "value", (int, float), ctx))
+        v = _require_number(doc, "value", ctx)
         return lambda t, x: v * np.ones_like(np.asarray(x, dtype=float))
     if kind == "linear":
-        a = float(_require(doc, "rate", (int, float), ctx))
+        a = _require_number(doc, "rate", ctx)
         return lambda t, x: a * np.asarray(x, dtype=float)
     if kind == "affine":
-        a = float(_require(doc, "slope", (int, float), ctx))
-        b = float(_require(doc, "intercept", (int, float), ctx))
+        a = _require_number(doc, "slope", ctx)
+        b = _require_number(doc, "intercept", ctx)
         return lambda t, x: a * np.asarray(x, dtype=float) + b
     raise ConfigError(f"unknown {ctx}type: {kind}")
 
@@ -151,10 +165,14 @@ def _make_source(doc):
     kind = _require(doc, "type", str, "source.")
     if kind == "iid":
         symbols = [_normalize_symbol(s) for s in _require(doc, "symbols", list, "source.")]
-        return IIDSource(symbols=tuple(symbols), probs=_require(doc, "probs", list, "source."))
+        probs = [_number(p, "source.probs") for p in _require(doc, "probs", list, "source.")]
+        return IIDSource(symbols=tuple(symbols), probs=probs)
     if kind == "markov":
         states = [_normalize_symbol(s) for s in _require(doc, "states", list, "source.")]
         matrix = _require(doc, "matrix", list, "source.")
+        if not all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
+            raise ConfigError("field source.matrix must be a square list of rows")
+        matrix = [[_number(v, "source.matrix") for v in row] for row in matrix]
         return MarkovChain(matrix=np.asarray(matrix, dtype=float), states=tuple(states))
     raise ConfigError(f"unknown source.type: {kind}")
 
@@ -187,13 +205,13 @@ def _estimate_rows(entries):
 
 
 def _run_simulate(params, stream, workers):
-    x0 = float(_require(params, "x0", (int, float)))
-    horizon = float(_require(params, "horizon", (int, float)))
-    dt = float(_require(params, "dt", (int, float)))
+    x0 = _require_number(params, "x0")
+    horizon = _require_number(params, "horizon")
+    dt = _require_number(params, "dt")
     spec = JumpDiffusionSpec(
         drift=_make_coefficient(_require(params, "drift", dict), "drift."),
         diffusion=_make_coefficient(_require(params, "diffusion", dict), "diffusion."),
-        jump_intensity=float(params.get("jump_intensity", 0.0)),
+        jump_intensity=_number(params.get("jump_intensity", 0.0), "jump_intensity"),
         mark_distribution=_make_distribution(params["marks"], "marks.")
         if "marks" in params else None,
         compensated=bool(params.get("compensated", False)),
@@ -217,7 +235,7 @@ def _renewal_spec(params):
                                         "interarrival."),
         delay=_make_distribution(params["delay"], "delay.") if "delay" in params else None,
         reward=_make_distribution(params["reward"], "reward.") if "reward" in params else None,
-        lattice_period=float(params.get("lattice_period", 0.0)),
+        lattice_period=_number(params.get("lattice_period", 0.0), "lattice_period"),
     )
     return spec
 
@@ -227,15 +245,15 @@ def _run_renewal_check(params, stream, workers):
     entries = []
     if check == "mean-process":
         spec = _renewal_spec(params)
-        t = float(_require(params, "t", (int, float)))
+        t = _require_number(params, "t")
         n = int(_require(params, "n_paths", int))
         est = rn.estimate_mean_process(spec, t, n, stream, workers=workers)
         entries += [("mean_process", est.value, est.stderr, est.n),
                     ("elementary_limit", t / spec.mean, 0.0, 0)]
     elif check == "blackwell":
         spec = _renewal_spec(params)
-        t = float(_require(params, "t", (int, float)))
-        a = float(_require(params, "a", (int, float)))
+        t = _require_number(params, "t")
+        a = _require_number(params, "a")
         mode = _require(params, "mode", str)
         n = int(_require(params, "n_paths", int))
         est, limit = rn.blackwell_check(spec, t, a, mode, n, stream, workers=workers)
@@ -243,21 +261,21 @@ def _run_renewal_check(params, stream, workers):
                     ("limit", limit, 0.0, 0)]
     elif check == "wald":
         spec = _renewal_spec(params)
-        t = float(_require(params, "t", (int, float)))
+        t = _require_number(params, "t")
         n = int(_require(params, "n_paths", int))
         lhs, rhs = rn.wald_check(spec, t, n, stream, workers=workers)
         entries += [("stopped_sum", lhs.value, lhs.stderr, lhs.n),
                     ("count_times_mean", rhs.value, rhs.stderr, rhs.n)]
     elif check == "reward-rate":
         spec = _renewal_spec(params)
-        t = float(_require(params, "t", (int, float)))
+        t = _require_number(params, "t")
         n = int(_require(params, "n_paths", int))
         est, limit = rn.reward_rate_check(spec, t, n, stream, workers=workers)
         entries += [("reward_rate", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "delayed":
         spec = _renewal_spec(params)
-        t = float(_require(params, "t", (int, float)))
+        t = _require_number(params, "t")
         n = int(_require(params, "n_paths", int))
         mean_est, age_est, age_limit = rn.delayed_renewal_stats(spec, t, n, stream,
                                                                 workers=workers)
@@ -267,9 +285,9 @@ def _run_renewal_check(params, stream, workers):
     elif check == "regenerative":
         rates = _require(params, "rates", list)
         state = int(_require(params, "state", int))
-        horizon = float(_require(params, "horizon", (int, float)))
+        horizon = _require_number(params, "horizon")
         n = int(_require(params, "n_paths", int))
-        rates = np.asarray(rates, dtype=float)
+        rates = np.asarray([_number(r, "rates") for r in rates])
         if np.any(rates <= 0):
             raise ConfigError("field rates must be positive")
 
@@ -288,17 +306,17 @@ def _run_renewal_check(params, stream, workers):
                     ("limit", limit, 0.0, 0)]
     elif check == "renewal-equation":
         dist = _make_distribution(_require(params, "interarrival", dict), "interarrival.")
-        rate = float(params.get("f_decay_rate", 1.0))
-        t_max = float(_require(params, "t_max", (int, float)))
-        step = float(_require(params, "step", (int, float)))
+        rate = _number(params.get("f_decay_rate", 1.0), "f_decay_rate")
+        t_max = _require_number(params, "t_max")
+        step = _require_number(params, "step")
         sol = rq.solve_renewal_equation(dist.cdf, lambda s: np.exp(-rate * s), t_max, step)
         entries += [("convolution", sol.convolution_value, 0.0, 0),
                     ("limit", sol.limit_value, 0.0, 0)]
     elif check == "last-renewal-cdf":
         dist = _make_distribution(_require(params, "interarrival", dict), "interarrival.")
-        t = float(_require(params, "t", (int, float)))
-        s = float(_require(params, "s", (int, float)))
-        step = float(_require(params, "step", (int, float)))
+        t = _require_number(params, "t")
+        s = _require_number(params, "s")
+        step = _require_number(params, "step")
         value = rq.last_renewal_cdf(dist.cdf, t, s, step)
         entries += [("last_renewal_cdf", value, 0.0, 0)]
     else:
@@ -338,7 +356,7 @@ def _run_pattern_race(params, stream, workers):
     entries.append(("E_T_min", result.expected_min_time, 0.0, 0))
     for i, e in enumerate(result.expected_times):
         entries.append((f"E_T_{i + 1}", e, 0.0, 0))
-    n_trials = int(params.get("n_trials", 0))
+    n_trials = int(_number(params.get("n_trials", 0), "n_trials"))
     if n_trials > 0:
         sim = simulate_pattern_race(patterns, source, n_trials, stream,
                                     initial_state=initial_state, workers=workers)
@@ -358,7 +376,7 @@ def _benchmark_params(params):
     for key in ("drift_rate", "sigma", "jump_intensity", "jump_size", "discount",
                 "fixed_cost", "proportional_cost", "grid_lo", "grid_hi", "grid_step"):
         if key in doc:
-            kwargs[key] = float(doc[key])
+            kwargs[key] = _number(doc[key], f"benchmark.{key}")
     return BenchmarkParams(**kwargs)
 
 
@@ -384,12 +402,13 @@ def _run_impulse_solve(params, stream, workers):
 def _run_impulse_verify(params, stream, workers):
     bench = _benchmark_params(params)
     n_paths = int(_require(params, "n_paths", int))
-    dt = float(_require(params, "dt", (int, float)))
-    horizon = float(params.get("horizon", 14.0 / bench.discount))
-    allowance_coeff = float(params.get("allowance_coeff", 25.0))
+    dt = _require_number(params, "dt")
+    horizon = _number(params.get("horizon", 14.0 / bench.discount), "horizon")
+    allowance_coeff = _number(params.get("allowance_coeff", 25.0), "allowance_coeff")
     y0_list = params.get("y0", [0.0])
     if not isinstance(y0_list, list):
         raise ConfigError("field y0 must be a list of floats")
+    y0_list = [_number(y0, "y0") for y0 in y0_list]
 
     solution = solve_benchmark_qvi(bench)
     problem = make_benchmark_problem(bench)
@@ -401,13 +420,13 @@ def _run_impulse_verify(params, stream, workers):
     for doc in alt_docs:
         if not isinstance(doc, dict):
             raise ConfigError("each alternative must be an object")
-        band = float(doc.get("band_delta", 0.0))
-        target = float(doc.get("target_delta", 0.0))
+        band = _number(doc.get("band_delta", 0.0), "alternatives.band_delta")
+        target = _number(doc.get("target_delta", 0.0), "alternatives.target_delta")
         label = doc.get("label", f"band{band:+g}_target{target:+g}")
         alternatives.append((label, policy.shifted(band_delta=band, target_delta=target)))
     rows = []
     for j, y0 in enumerate(y0_list):
-        report = verify_value(problem, solution.candidate, policy, float(y0),
+        report = verify_value(problem, solution.candidate, policy, y0,
                               alternatives, n_paths, dt, stream.substream(j),
                               allowance_coeff=allowance_coeff, horizon=horizon,
                               workers=workers)

@@ -224,6 +224,35 @@ class QVIReport:
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# points per block of the coarse search; bounds its dense arrays at
+# _COARSE_BLOCK x len(targets) whatever the number of points
+_COARSE_BLOCK = 256
+
+
+def affine_intervention_operator(values, x, fixed, proportional):
+    """M psi at the nodes for the cost ``fixed + proportional * |z|``.
+
+    ``values`` are psi at the increasing nodes ``x``, read as the
+    piecewise-linear interpolant, and the targets are the nodes
+    themselves.  The objective psi(w) + proportional |w - x_i| is then
+    piecewise linear with kinks at nodes only, so the infimum is the
+    lower envelope min_j psi_j + proportional |x_j - x_i| (an L1 distance
+    transform): one running minimum of psi - proportional x from the
+    left and one of psi + proportional x from the right, O(n) in all.
+    Returns the values only; :func:`minimize_over_targets` is the
+    general search that also returns targets.
+    """
+    values = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if values.ndim != 1 or values.shape != x.shape:
+        raise ParameterError("need matching 1-D arrays of node values and nodes")
+    if proportional < 0:
+        raise ParameterError("proportional intervention cost must be nonnegative")
+    slope = proportional * x
+    fwd = np.minimum.accumulate(values - slope) + slope
+    bwd = np.minimum.accumulate((values + slope)[::-1])[::-1] - slope
+    return fixed + np.minimum(fwd, bwd)
+
 
 def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
     """Vectorised M-operator: best post-impulse position for each point.
@@ -232,16 +261,30 @@ def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
     impulse magnitude), then golden-section refinement of the target
     between the coarse winner's neighbours down to ``refine_tol``.
     Returns ``(values, best_targets)`` arrays.
+
+    This is the general search, for any cost and candidate, and the
+    oracle for the fast paths: for the cost c + kappa |z| on a
+    piecewise-linear candidate with targets at its nodes,
+    :func:`affine_intervention_operator` gives the same values in O(n).
+    The coarse search runs in blocks of points, so its memory stays
+    O(len(targets)) per block; the refinement runs over all points at
+    once, since its iteration count depends on every point's bracket.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     targets = np.asarray(targets, dtype=float)
     if targets.size == 0:
         raise ParameterError("target grid for the impulse search is empty")
-    obj = value_fn(targets)[None, :] + cost_fn(points[:, None], targets[None, :] - points[:, None])
-    vmin = obj.min(axis=1, keepdims=True)
-    ties = obj <= vmin + 1e-12 * (1.0 + np.abs(vmin))
-    z_abs = np.abs(targets[None, :] - points[:, None])
-    pick = np.where(ties, z_abs, np.inf).argmin(axis=1)
+    target_values = value_fn(targets)[None, :]
+    pick = np.empty(points.size, dtype=np.intp)
+    coarse_f = np.empty(points.size)
+    for start in range(0, points.size, _COARSE_BLOCK):
+        rows = slice(start, start + _COARSE_BLOCK)
+        p = points[rows, None]
+        obj = target_values + cost_fn(p, targets[None, :] - p)
+        vmin = obj.min(axis=1, keepdims=True)
+        ties = obj <= vmin + 1e-12 * (1.0 + np.abs(vmin))
+        pick[rows] = np.where(ties, np.abs(targets[None, :] - p), np.inf).argmin(axis=1)
+        coarse_f[rows] = np.take_along_axis(obj, pick[rows, None], axis=1)[:, 0]
 
     lo = targets[np.maximum(pick - 1, 0)]
     hi = targets[np.minimum(pick + 1, targets.size - 1)]
@@ -266,7 +309,6 @@ def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
     f_ref = _eval(w_ref)
 
     coarse_w = targets[pick]
-    coarse_f = np.take_along_axis(obj, pick[:, None], axis=1)[:, 0]
     better = f_ref < coarse_f
     best_w = np.where(better, w_ref, coarse_w)
     best_f = np.where(better, f_ref, coarse_f)

@@ -114,6 +114,7 @@ def test_criterion_2_run_race():
 # 3. the alternating-vs-runs race and its discrepancy report
 
 
+@pytest.mark.slow
 def test_criterion_3_showcase_race():
     report = alternating_run_race_report(5, 6, 0.5, 1_000_000, derive_stream(1003, 0))
     exact = 4096.0 / 5460.0
@@ -279,6 +280,7 @@ def test_criterion_6_key_renewal():
 # 7. stochastic core
 
 
+@pytest.mark.slow
 def test_criterion_7_stochastic_core():
     start = time.perf_counter()
     spec = benchmark_spec()
@@ -331,6 +333,7 @@ def test_criterion_7_stochastic_core():
 # 8. impulse control
 
 
+@pytest.mark.slow
 def test_criterion_8_impulse_control():
     start = time.perf_counter()
     params = BenchmarkParams()

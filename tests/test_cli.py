@@ -262,3 +262,39 @@ def test_invalid_iid_probabilities_exit_code(tmp_path, capsys):
     assert code == 2
     assert "summing to 1" in capsys.readouterr().err
     assert not (tmp_path / "pattern_expect.csv").exists()
+
+
+IMPULSE_VERIFY_DOC = {
+    "kind": "impulse-verify",
+    "seed": 4,
+    "parameters": {"benchmark": {"grid_step": 0.02}, "n_paths": 8, "dt": 0.01},
+}
+
+
+def _with_parameters(doc, **changes):
+    return {**doc, "parameters": {**doc["parameters"], **changes}}
+
+
+@pytest.mark.parametrize("doc", [
+    _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"fixed_cost": "x"}),
+    _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"fixed_cost": [1]}),
+    _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"fixed_cost": True}),
+    _with_parameters(IMPULSE_VERIFY_DOC, y0=["a"]),
+    _with_parameters(IMPULSE_VERIFY_DOC, alternatives=[{"band_delta": "w"}]),
+    _with_parameters(IMPULSE_VERIFY_DOC, dt=10**330),
+    _with_parameters(RACE_DOC, source={"type": "iid", "symbols": [0, 1], "probs": ["a", 0.5]}),
+    _with_parameters(RACE_DOC, source={"type": "markov", "states": [0, 1],
+                                       "matrix": [[0.5, 0.5], ["a", 0.5]]}),
+    _with_parameters(RACE_DOC, source={"type": "markov", "states": [0, 1],
+                                       "matrix": [[0.5, 0.5], [1.0]]}),
+    _with_parameters(RACE_DOC, n_trials="many"),
+    _with_parameters(SIMULATE_DOC, jump_intensity="x"),
+    _with_parameters(SIMULATE_DOC, dt=10**330),
+], ids=["benchmark-str", "benchmark-list", "benchmark-bool", "y0-str", "alternative-str",
+        "verify-dt-huge-int", "iid-probs-str", "markov-entry-str", "markov-ragged",
+        "n-trials-str", "jump-intensity-str", "simulate-dt-huge-int"])
+def test_wrong_typed_numbers_exit_code(tmp_path, capsys, doc):
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: field" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -5,6 +5,7 @@ import pytest
 
 from jumpkit import (
     CandidateValue,
+    affine_intervention_operator,
     Discrete,
     ImpulsePolicy,
     ImpulseProblem,
@@ -91,6 +92,42 @@ def test_tie_breaks_toward_smallest_impulse():
 def test_empty_target_grid_rejected():
     with pytest.raises(ParameterError):
         minimize_over_targets(square, lambda x, z: np.abs(z), [0.0], np.empty(0))
+
+
+@pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("fixed,proportional", [(1.0, 0.0), (0.5, 0.3), (2.0, 1.7)])
+def test_affine_operator_matches_dense_search(grid, fixed, proportional):
+    rng = np.random.default_rng(17)
+    for n in (2, 9, 200):
+        if grid == "uniform":
+            x = np.linspace(-3.0, 3.0, n)
+        else:
+            x = np.sort(rng.uniform(-3.0, 3.0, n))
+        values = rng.normal(size=n) + x**2
+        dense, _ = minimize_over_targets(
+            lambda w: np.interp(w, x, values),
+            lambda y, z: fixed + proportional * np.abs(z), x, x)
+        fast = affine_intervention_operator(values, x, fixed, proportional)
+        np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12)
+
+
+def test_affine_operator_rejects_bad_input():
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ParameterError):
+        affine_intervention_operator(x[:4], x, 1.0, 0.3)
+    with pytest.raises(ParameterError):
+        affine_intervention_operator(x, x, 1.0, -0.3)
+
+
+def test_coarse_search_blocks_leave_results_unchanged():
+    # reversing the points moves every block boundary but keeps the
+    # refinement's span, so values and targets must agree bit for bit
+    points = np.random.default_rng(3).uniform(-5.0, 5.0, 700)
+    cost = lambda y, z: 1.0 + 0.4 * np.abs(z)
+    values, targets = minimize_over_targets(square, cost, points, TARGETS)
+    rev_values, rev_targets = minimize_over_targets(square, cost, points[::-1], TARGETS)
+    assert np.array_equal(values, rev_values[::-1])
+    assert np.array_equal(targets, rev_targets[::-1])
 
 
 # ---------------------------------------------------------------------------

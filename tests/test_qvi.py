@@ -10,7 +10,8 @@ from jumpkit import (
     synthesize_policy,
 )
 from jumpkit.errors import ParameterError
-from jumpkit.impulse import CandidateValue, ImpulsePolicy
+from jumpkit.impulse import CandidateValue, ImpulsePolicy, minimize_over_targets
+from jumpkit.qvi import _assemble_operator
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,53 @@ def test_solution_improves_on_never_intervening(solution):
 
 def test_fd_residual_tiny(solution):
     assert solution.fd_residual < 1e-6
+
+
+def test_history_records_every_sweep(solution):
+    history = solution.history
+    assert len(history) == solution.sweeps
+    n = solution.candidate.x.size
+    change, n_active, n_flips = history[-1]
+    assert change < 1e-9 and n_flips == 0
+    assert history[0][1] == history[0][2]  # the first sweep flips from all-continuation
+    assert all(0 < active < n for _, active, _ in history)
+
+
+def test_converged_iterate_is_a_fixed_point_of_the_dense_operator():
+    params = BenchmarkParams(grid_step=0.01)
+    sol = solve_benchmark_qvi(params)
+    x, psi = sol.candidate.x, sol.candidate.values
+    dense, _ = minimize_over_targets(
+        lambda w: np.interp(w, x, psi),
+        lambda y, z: params.fixed_cost + params.proportional_cost * np.abs(z), x, x)
+    defect = np.minimum(x**2 - _assemble_operator(x, params) @ psi, dense - psi)
+    dj = int(round(params.jump_size / params.grid_step))
+    assert np.max(np.abs(defect[dj + 1:x.size - dj - 1])) <= 1e-6
+
+
+def test_operator_on_a_quadratic():
+    # central differences and lattice jumps are exact on x^2:
+    # B x^2 = (rho - 2a) x^2 - sigma^2 - lambda delta^2 away from the margin
+    params = BenchmarkParams(grid_step=0.05)
+    x = np.linspace(params.grid_lo, params.grid_hi, 241)
+    dj = int(round(params.jump_size / params.grid_step))
+    applied = _assemble_operator(x, params) @ x**2
+    expected = ((params.discount - 2 * params.drift_rate) * x**2 - params.sigma**2
+                - params.jump_intensity * params.jump_size**2)
+    np.testing.assert_allclose(applied[dj + 1:-dj - 1], expected[dj + 1:-dj - 1],
+                               rtol=0.0, atol=1e-9)
+
+
+def test_grid_refinement():
+    # h = 0.01, 0.005, 0.0025: the gaps in psi(0) at least halve and the
+    # band edges move by at most one step of the coarsest grid
+    sols = [solve_benchmark_qvi(BenchmarkParams(grid_step=h)) for h in (0.01, 0.005, 0.0025)]
+    values = [float(sol.candidate.psi(0.0)) for sol in sols]
+    gaps = np.abs(np.diff(values))
+    assert gaps[1] <= 0.5 * gaps[0]
+    for coarse, fine in zip(sols, sols[1:]):
+        assert abs(fine.band[0] - coarse.band[0]) <= 0.01 + 1e-12
+        assert abs(fine.band[1] - coarse.band[1]) <= 0.01 + 1e-12
 
 
 def test_official_qvi_residual(solution, problem):
