@@ -15,7 +15,9 @@ included here.
 Paths come from the one batched Euler kernel of :mod:`jumpkit.sde`; a path
 jumping inside a grid step leaves its base-step normal unused.  Fields and
 coefficients may receive an array of sub-step times in ``t``, as
-``ito_residual`` passes a whole path's left grid times.
+``ito_residual`` passes a whole path's left grid times.  ``dynkin_residual``
+hands all its blocks to the kernel as lanes of one batch, so ``workers``
+does nothing there.
 """
 
 from dataclasses import dataclass
@@ -24,10 +26,10 @@ import numpy as np
 
 from .distributions import expectation
 from .errors import NumericalError, ParameterError
-from .mc import estimate_from_samples, map_blocks
+from .mc import block_ranges, estimate_from_samples
 from .sde import _simulate_batch
 
-_BLOCK_SIZE = 1024  # paths per block; larger blocks amortise per-step overhead
+_BLOCK_SIZE = 1024  # paths per block and substream; fixes the draws, not the batching
 
 
 @dataclass
@@ -158,16 +160,14 @@ def dynkin_residual(spec, field, x0, t, dt, n_paths, stream, workers=1):
 
     estimated over ``n_paths`` independent paths.  The integral uses
     left-point values on the simulation grid, matching the Euler order.
-    Block b of paths draws from substream b, whatever the worker count.
+    Block b of paths draws from substream b, and the blocks are lanes of
+    one kernel run; ``workers`` is kept for compatibility and does nothing.
     """
     if n_paths < 2:
         raise ParameterError("n_paths must be at least 2")
-
-    def _block(sub, lo, hi):
-        x, integral, _, _ = _simulate_batch(
-            spec, x0, t, dt, sub.generator, hi - lo,
-            integrand=lambda s, y: generator_apply(spec, field, s, y))
-        return field.value(t, x) - field.value(0.0, x0) - integral
-
-    blocks = map_blocks(_block, n_paths, stream, _BLOCK_SIZE, workers=workers)
-    return estimate_from_samples(np.concatenate(blocks))
+    lanes = ((stream.substream(b).generator, hi - lo, None)
+             for b, (lo, hi) in enumerate(block_ranges(n_paths, _BLOCK_SIZE)))
+    results = _simulate_batch(spec, x0, t, dt, lanes,
+                              integrand=lambda s, y: generator_apply(spec, field, s, y))
+    return estimate_from_samples(np.concatenate(
+        [field.value(t, lane.x) - field.value(0.0, x0) - lane.integral for lane in results]))

@@ -4,7 +4,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 closed-form hypothesis violation.  All state flows through flags and
 the config document; outputs contain no timestamps or environment
 details, so a rerun with the same config and seed is byte-identical for
-any worker count.
+any worker count.  ``workers`` is clamped to ``os.cpu_count()`` when the
+config is validated, and ``n_paths`` and ``n_trials`` must be integers no
+larger than ``MAX_COUNT``; a time step finer than the kernel's
+``MAX_STEPS`` grid steps is a configuration error too.
 
 One scenario per config file.  ``kind`` selects the computation:
 
@@ -19,6 +22,7 @@ One scenario per config file.  ``kind`` selects the computation:
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +55,8 @@ KINDS = (
     "impulse-solve",
     "impulse-verify",
 )
+
+MAX_COUNT = 10_000_000  # largest n_paths or n_trials a config may ask for
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,19 @@ def _require_number(doc, field, ctx=""):
     return _number(_require(doc, field, ctx=ctx), ctx + field)
 
 
+def _count(value, name, lo=0):
+    """A path or trial count: an integral number in ``[lo, MAX_COUNT]``."""
+    number = _number(value, name)
+    if not (number.is_integer() and lo <= number <= MAX_COUNT):
+        raise ConfigError(f"field {name} must be an integer from {lo} to {MAX_COUNT}, "
+                          f"got {value!r}")
+    return int(number)
+
+
+def _n_paths(params):
+    return _count(_require(params, "n_paths", int), "n_paths", lo=1)
+
+
 def parse_config(document):
     """Validate a scenario document; the diagnostic names the first problem."""
     if not isinstance(document, dict):
@@ -106,8 +125,9 @@ def parse_config(document):
         raise ConfigError(f"unknown kind: {kind}")
     seed = _require(document, "seed", int)
     workers = document.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("field workers must be a positive integer")
+    workers = min(workers, os.cpu_count() or 1)
     output = document.get("output", kind.replace("-", "_"))
     if not isinstance(output, str) or not output:
         raise ConfigError("field output must be a nonempty string")
@@ -246,7 +266,7 @@ def _run_renewal_check(params, stream, workers):
     if check == "mean-process":
         spec = _renewal_spec(params)
         t = _require_number(params, "t")
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         est = rn.estimate_mean_process(spec, t, n, stream, workers=workers)
         entries += [("mean_process", est.value, est.stderr, est.n),
                     ("elementary_limit", t / spec.mean, 0.0, 0)]
@@ -255,28 +275,28 @@ def _run_renewal_check(params, stream, workers):
         t = _require_number(params, "t")
         a = _require_number(params, "a")
         mode = _require(params, "mode", str)
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         est, limit = rn.blackwell_check(spec, t, a, mode, n, stream, workers=workers)
         entries += [(f"blackwell_{mode}", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "wald":
         spec = _renewal_spec(params)
         t = _require_number(params, "t")
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         lhs, rhs = rn.wald_check(spec, t, n, stream, workers=workers)
         entries += [("stopped_sum", lhs.value, lhs.stderr, lhs.n),
                     ("count_times_mean", rhs.value, rhs.stderr, rhs.n)]
     elif check == "reward-rate":
         spec = _renewal_spec(params)
         t = _require_number(params, "t")
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         est, limit = rn.reward_rate_check(spec, t, n, stream, workers=workers)
         entries += [("reward_rate", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "delayed":
         spec = _renewal_spec(params)
         t = _require_number(params, "t")
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         mean_est, age_est, age_limit = rn.delayed_renewal_stats(spec, t, n, stream,
                                                                 workers=workers)
         entries += [("mean_process", mean_est.value, mean_est.stderr, mean_est.n),
@@ -286,7 +306,7 @@ def _run_renewal_check(params, stream, workers):
         rates = _require(params, "rates", list)
         state = int(_require(params, "state", int))
         horizon = _require_number(params, "horizon")
-        n = int(_require(params, "n_paths", int))
+        n = _n_paths(params)
         rates = np.asarray([_number(r, "rates") for r in rates])
         if np.any(rates <= 0):
             raise ConfigError("field rates must be positive")
@@ -356,7 +376,7 @@ def _run_pattern_race(params, stream, workers):
     entries.append(("E_T_min", result.expected_min_time, 0.0, 0))
     for i, e in enumerate(result.expected_times):
         entries.append((f"E_T_{i + 1}", e, 0.0, 0))
-    n_trials = int(_number(params.get("n_trials", 0), "n_trials"))
+    n_trials = _count(params.get("n_trials", 0), "n_trials")
     if n_trials > 0:
         sim = simulate_pattern_race(patterns, source, n_trials, stream,
                                     initial_state=initial_state, workers=workers)
@@ -401,7 +421,7 @@ def _run_impulse_solve(params, stream, workers):
 
 def _run_impulse_verify(params, stream, workers):
     bench = _benchmark_params(params)
-    n_paths = int(_require(params, "n_paths", int))
+    n_paths = _n_paths(params)
     dt = _require_number(params, "dt")
     horizon = _number(params.get("horizon", 14.0 / bench.discount), "horizon")
     allowance_coeff = _number(params.get("allowance_coeff", 25.0), "allowance_coeff")

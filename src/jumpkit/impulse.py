@@ -19,7 +19,11 @@ residual.
 Closed-loop paths and cost estimates come from the one batched Euler
 kernel of :mod:`jumpkit.sde`: a path jumping inside a grid step leaves its
 base-step normal unused and meets the policy at each jump instant, so the
-cost callables may receive an array of sub-step times.
+cost callables may receive an array of sub-step times.  Every block of
+paths of every policy in one estimate or verification is a lane of a
+single kernel run (block b of a policy on substream b of its stream), so
+each estimate is bit-identical to stepping its blocks one after another,
+and ``workers`` no longer does anything for cost estimation.
 
 Infinite-horizon discounted problems fold e^{-rho t} into the running and
 intervention costs and factor candidates as phi(t, x) = e^{-rho t} psi(x).
@@ -36,8 +40,8 @@ from scipy.interpolate import CubicSpline
 
 from .calculus import ScalarField, generator_apply
 from .errors import DegeneratePolicyError, NumericalError, ParameterError
-from .mc import EstimateWithCI, estimate_from_samples, map_blocks
-from .sde import _simulate_batch
+from .mc import EstimateWithCI, block_ranges, estimate_from_samples
+from .sde import _simulate_batch, in_intervals
 
 
 @dataclass
@@ -154,11 +158,13 @@ class ImpulsePolicy:
     def never_intervene(cls):
         return cls(intervals=((-np.inf, np.inf),), grid=np.empty(0), targets=np.empty(0))
 
+    def bounds(self):
+        """Lower and upper ends of the intervals, as two float arrays."""
+        lo, hi = np.array(self.intervals, dtype=float).reshape(-1, 2).T
+        return lo, hi
+
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        mask = np.zeros(x.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            mask |= (x > lo) & (x < hi)
+        mask = in_intervals(np.asarray(x, dtype=float), *self.bounds())
         return mask if mask.ndim else bool(mask)
 
     def target(self, x):
@@ -445,20 +451,27 @@ def simulate_controlled(problem, policy, y0, horizon, dt, stream,
     at that instant.  Exceeding ``max_interventions`` raises
     :class:`ChatteringError`; landing outside D, :class:`NumericalError`.
     """
-    _, _, _, paths = _simulate_batch(problem.dynamics, y0, horizon, dt, stream.generator, 1,
-                                     policy=policy, max_interventions=max_interventions,
-                                     record=True)
-    return paths[0]
+    lane = (stream.generator, 1, policy)
+    return _simulate_batch(problem.dynamics, y0, horizon, dt, [lane],
+                           max_interventions=max_interventions, record=True)[0].paths[0]
 
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Monte Carlo cost with the truncation bound for infinite horizons."""
+    """Monte Carlo cost with the truncation bound for infinite horizons.
+
+    ``peak`` is the largest |x| any path reached at a grid node (0 at
+    least), and ``interventions_per_path`` and ``jumps_per_path`` are the
+    mean counts of impulses and jumps per path.
+    """
 
     estimate: EstimateWithCI
     horizon: float
     tail_bound: float
     horizon_warning: bool
+    peak: float = 0.0
+    interventions_per_path: float = 0.0
+    jumps_per_path: float = 0.0
 
     @property
     def value(self):
@@ -480,37 +493,58 @@ def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
     bound ``e^{-rho T} sup running / rho`` is reported; a bound above 1%
     of the estimate sets ``horizon_warning``.
 
-    Paths are simulated in fixed blocks, block b on substream b, so the
-    result is bit-identical for any worker count.
+    Paths form fixed blocks, block b on substream b, and the blocks are
+    lanes of one kernel run, so the result does not depend on how they are
+    stepped.  ``workers`` is kept for compatibility and does nothing.
+    """
+    return _estimate_costs(problem, [(policy, stream)], y0, n_paths, dt, horizon=horizon,
+                           block_size=block_size, max_interventions=max_interventions)[0]
+
+
+def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, block_size=256,
+                    max_interventions=100_000):
+    """:func:`estimate_cost` of every ``(policy, stream)`` in ``jobs``, from one kernel run.
+
+    Each policy contributes its blocks as lanes, block b on substream b of
+    its own stream, so each estimate equals its own ``estimate_cost`` call
+    bit for bit.
     """
     if problem.horizon is not None:
         horizon = problem.horizon
     elif horizon is None:
         horizon = 14.0 / problem.discount
+    if n_paths < 1:
+        raise ParameterError(f"n_paths must be positive, got {n_paths}")
+    blocks = block_ranges(n_paths, block_size)
+    lanes = ((stream.substream(b).generator, hi - lo, policy)
+             for policy, stream in jobs for b, (lo, hi) in enumerate(blocks))
+    results = _simulate_batch(
+        problem.dynamics, y0, horizon, dt, lanes, intervention_cost=problem.intervention_cost,
+        max_interventions=max_interventions, integrand=problem.running_cost, trapezoid=True)
 
-    def _block(sub, lo, hi):
-        x, cost, peak, _ = _simulate_batch(
-            problem.dynamics, y0, horizon, dt, sub.generator, hi - lo, policy=policy,
-            intervention_cost=problem.intervention_cost, max_interventions=max_interventions,
-            integrand=problem.running_cost, trapezoid=True)
+    estimates = []
+    for j, (policy, _) in enumerate(jobs):
+        mine = results[j * len(blocks):(j + 1) * len(blocks)]
+        costs = np.concatenate([lane.integral for lane in mine])
         if problem.horizon is not None and problem.terminal_cost is not None:
-            cost = cost + problem.terminal_cost(horizon, x)
-        return cost, peak
-
-    results = map_blocks(_block, n_paths, stream, block_size, workers=workers)
-    costs = np.concatenate([c for c, _ in results])
-    peak = max(p for _, p in results)
-    est = estimate_from_samples(costs)
-    if problem.horizon is None:
-        hull = [abs(v) for pair in policy.intervals for v in pair if np.isfinite(v)]
-        span = max([peak] + hull)
-        sup_run = float(np.max(problem.running_cost(0.0, np.linspace(-span, span, 257))))
-        tail = float(np.exp(-problem.discount * horizon) * sup_run / problem.discount)
-    else:
-        tail = 0.0
-    warning = tail > 0.01 * max(abs(est.value), 1e-300)
-    return CostEstimate(estimate=est, horizon=float(horizon), tail_bound=tail,
-                        horizon_warning=warning)
+            final = np.concatenate([lane.x for lane in mine])
+            costs = costs + problem.terminal_cost(horizon, final)
+        peak = max(lane.peak for lane in mine)
+        est = estimate_from_samples(costs)
+        if problem.horizon is None:
+            hull = [abs(v) for pair in policy.intervals for v in pair if np.isfinite(v)]
+            span = max([peak] + hull)
+            sup_run = float(np.max(problem.running_cost(0.0, np.linspace(-span, span, 257))))
+            tail = float(np.exp(-problem.discount * horizon) * sup_run / problem.discount)
+        else:
+            tail = 0.0
+        warning = tail > 0.01 * max(abs(est.value), 1e-300)
+        estimates.append(CostEstimate(
+            estimate=est, horizon=float(horizon), tail_bound=tail, horizon_warning=warning,
+            peak=peak,
+            interventions_per_path=sum(lane.interventions for lane in mine) / n_paths,
+            jumps_per_path=sum(lane.jumps for lane in mine) / n_paths))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +588,23 @@ def verify_value(problem, candidate, policy, y0, alternatives, n_paths, dt, stre
     ``alternatives`` is an iterable of (label, policy) pairs; their costs
     must dominate the candidate value (first inequality), while the
     synthesized policy must attain it (second, equality case).
+
+    The policy's cost is estimated on ``stream.substream(0)`` and the j-th
+    alternative's on ``stream.substream(j + 1)``, every block of every
+    policy a lane of one kernel run; each cost equals ``estimate_cost`` on
+    that substream bit for bit.  ``workers`` is kept for compatibility and
+    does nothing.
     """
     phi0 = float(candidate.value(0.0, y0))
-    cost = estimate_cost(problem, policy, y0, n_paths, dt, stream.substream(0),
-                         horizon=horizon, workers=workers)
+    alternatives = list(alternatives)
+    jobs = [(policy, stream.substream(0))]
+    jobs += [(alt, stream.substream(j + 1)) for j, (_, alt) in enumerate(alternatives)]
+    cost, *alt_costs = _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=horizon)
     allowance = allowance_coeff * dt
     equality = abs(phi0 - cost.value) <= 2.0 * cost.stderr + allowance
 
     entries = []
-    for j, (label, alt) in enumerate(alternatives):
-        alt_cost = estimate_cost(problem, alt, y0, n_paths, dt, stream.substream(j + 1),
-                                 horizon=horizon, workers=workers)
+    for (label, _), alt_cost in zip(alternatives, alt_costs):
         entries.append(DominanceEntry(
             label=label,
             cost=alt_cost,

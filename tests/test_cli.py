@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from jumpkit.cli import main, parse_config
+from jumpkit.cli import MAX_COUNT, main, parse_config
 from jumpkit.errors import ConfigError
 
 
@@ -298,3 +299,52 @@ def test_wrong_typed_numbers_exit_code(tmp_path, capsys, doc):
     assert code == 2
     assert "config error: field" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_step_count_beyond_kernel_bound_exit_code(tmp_path, capsys):
+    doc = _with_parameters(SIMULATE_DOC, dt=1e-15)
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "MAX_STEPS" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.csv").exists()
+
+
+RENEWAL_DOC = {
+    "kind": "renewal-check",
+    "seed": 5,
+    "parameters": {"check": "mean-process", "interarrival": {"type": "exponential", "rate": 1.0},
+                   "t": 2.0, "n_paths": 50},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    _with_parameters(RACE_DOC, n_trials=MAX_COUNT + 1),
+    _with_parameters(RACE_DOC, n_trials=1e12),
+    _with_parameters(RACE_DOC, n_trials=2.5),
+    _with_parameters(RACE_DOC, n_trials=-3),
+    _with_parameters(RENEWAL_DOC, n_paths=MAX_COUNT + 1),
+    _with_parameters(RENEWAL_DOC, n_paths=0),
+    _with_parameters(IMPULSE_VERIFY_DOC, n_paths=10**18),
+], ids=["n-trials-over", "n-trials-float-over", "n-trials-fraction", "n-trials-negative",
+        "n-paths-over", "n-paths-zero", "verify-n-paths-over"])
+def test_counts_out_of_bounds_exit_code(tmp_path, capsys, doc):
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be an integer from" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_integral_float_trial_count_accepted(tmp_path):
+    # a JSON literal such as 2e3 arrives as a float
+    doc = _with_parameters(RACE_DOC, n_trials=2000.0)
+    assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "pattern_race.csv").read_text().splitlines()
+    assert any(line.startswith("mc_P_1,") and line.endswith(",2000") for line in lines)
+
+
+def test_workers_clamped_to_cpu_count():
+    cpus = os.cpu_count() or 1
+    assert parse_config({**RACE_DOC, "workers": 10**9}).workers == cpus
+    assert parse_config({**RACE_DOC, "workers": 1}).workers == 1
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        parse_config({**RACE_DOC, "workers": True})

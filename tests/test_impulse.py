@@ -19,8 +19,10 @@ from jumpkit import (
     simulate_jump_diffusion,
     symmetric_pair,
     synthesize_policy,
+    verify_value,
 )
 from jumpkit.errors import ChatteringError, DegeneratePolicyError, NumericalError, ParameterError
+from jumpkit import sde
 from jumpkit.impulse import default_target_grid
 
 
@@ -405,3 +407,89 @@ def test_jump_time_impulse_landing_outside_region_raises_at_once(stream):
         estimate_cost(problem, policy, 0.0, 1, 1.0, stream, horizon=10.0)
     with pytest.raises(NumericalError, match=message):
         simulate_controlled(problem, policy, 0.0, 10.0, 1.0, stream.substream(0))
+
+
+def test_policy_without_intervals_fails_the_landing_check(stream):
+    # D is empty, so every impulse lands outside it
+    policy = ImpulsePolicy(intervals=(), grid=np.array([-1.0, 1.0]), targets=np.zeros(2))
+    assert not policy.contains(0.0) and not policy.contains(np.zeros(3)).any()
+    with pytest.raises(NumericalError, match="continuation region"):
+        estimate_cost(jumpy_problem(), policy, 0.0, 4, 1e-2, stream, horizon=1.0)
+
+
+# ---------------------------------------------------------------------------
+# lanes: many blocks and policies in one kernel run
+
+
+def two_interval_policy():
+    """D = (-1.6, 0.2) U (0.6, 1.6); the gap and the right exterior go to 1."""
+    return ImpulsePolicy(intervals=((-1.6, 0.2), (0.6, 1.6)),
+                         grid=np.array([-4.0, -1.6, 0.2, 0.6, 1.6, 4.0]),
+                         targets=np.array([-0.5, -0.5, 1.0, 1.0, 1.0, 1.0]))
+
+
+LANE_POLICIES = [band_policy(0.8, 0.2), ImpulsePolicy.never_intervene(), two_interval_policy()]
+
+
+def cost_fields(est):
+    return (est.value, est.stderr, est.tail_bound, est.peak, est.interventions_per_path,
+            est.jumps_per_path)
+
+
+def lane_verification(stream):
+    """Three policies at 300 paths each: six lanes of 256 and 44 paths."""
+    candidate = CandidateValue(np.linspace(-4.0, 4.0, 9), np.ones(9))
+    policy, *others = LANE_POLICIES
+    alternatives = [(f"alt{j}", alt) for j, alt in enumerate(others)]
+    report = verify_value(jumpy_problem(), candidate, policy, 0.3, alternatives, 300, 1e-2,
+                          stream, horizon=3.0)
+    return [report.policy_cost] + [entry.cost for entry in report.alternatives]
+
+
+def test_verify_value_costs_equal_separate_estimates(stream):
+    costs = lane_verification(stream)
+    for j, (policy, cost) in enumerate(zip(LANE_POLICIES, costs)):
+        alone = estimate_cost(jumpy_problem(), policy, 0.3, 300, 1e-2, stream.substream(j),
+                              horizon=3.0)
+        assert cost_fields(cost) == cost_fields(alone)
+    assert costs[0].interventions_per_path > 0 and costs[2].interventions_per_path > 0
+    assert costs[1].interventions_per_path == 0
+    assert all(cost.jumps_per_path > 0 for cost in costs)
+
+
+def test_small_run_cap_is_bit_identical(stream, monkeypatch):
+    costs = lane_verification(stream)
+    monkeypatch.setattr(sde, "_MAX_RUN_PATHS", 300)
+    capped = lane_verification(stream)
+    assert [cost_fields(c) for c in capped] == [cost_fields(c) for c in costs]
+
+
+def kernel_lanes(stream, sizes=(40, 1, 25)):
+    """One lane per policy, each on its own substream with fresh generators."""
+    return [(stream.substream(j).generator, n, policy)
+            for j, (n, policy) in enumerate(zip(sizes, LANE_POLICIES))]
+
+
+def test_lanes_with_different_policies_equal_each_run_alone(stream):
+    problem = jumpy_problem()
+    options = dict(intervention_cost=problem.intervention_cost, max_interventions=1000,
+                   integrand=problem.running_cost, trapezoid=True)
+    together = sde._simulate_batch(problem.dynamics, 0.3, 3.0, 1e-2, kernel_lanes(stream),
+                                   **options)
+    for lane, mine in zip(kernel_lanes(stream), together):
+        alone, = sde._simulate_batch(problem.dynamics, 0.3, 3.0, 1e-2, [lane], **options)
+        assert np.array_equal(mine.x, alone.x)
+        assert np.array_equal(mine.integral, alone.integral)
+        assert (mine.peak, mine.interventions, mine.jumps) == \
+            (alone.peak, alone.interventions, alone.jumps)
+    assert [lane.interventions > 0 for lane in together] == [True, False, True]
+
+
+def test_cost_counters_match_the_recorded_path(stream):
+    problem, policy = jumpy_problem(), band_policy(0.8, 0.2)
+    est = estimate_cost(problem, policy, 0.5, 1, 1e-2, stream, horizon=3.0)
+    path = simulate_controlled(problem, policy, 0.5, 3.0, 1e-2, stream.substream(0))
+    grid = np.isin(path.times, 3.0 / 300 * np.arange(1, 301))
+    assert est.jumps_per_path == len(path.jumps) > 0
+    assert est.interventions_per_path == len(path.interventions) > 0
+    assert est.peak == np.max(np.abs(path.pre_states[grid]))

@@ -8,6 +8,7 @@ from jumpkit import (
     qvi_residual,
     solve_benchmark_qvi,
     synthesize_policy,
+    verify_value,
 )
 from jumpkit.errors import ParameterError
 from jumpkit.impulse import CandidateValue, ImpulsePolicy, minimize_over_targets
@@ -166,3 +167,17 @@ def test_paired_streams_rank_policies(solution, problem, stream):
     active = estimate_cost(problem, policy, 0.5, 1500, 2e-3,
                            stream.substream(7), horizon=12.0)
     assert lazy.value >= active.value
+
+
+def test_verification_pinned_to_block_by_block_values(solution, problem, stream):
+    # 17-digit values of the loop that stepped each 256-path block alone;
+    # the batched kernel must reproduce them bit for bit
+    policy = synthesize_policy(problem, solution.candidate)
+    report = verify_value(problem, solution.candidate, policy, 0.0,
+                          [("never", ImpulsePolicy.never_intervene())], 2000, 2e-3, stream,
+                          horizon=12.0)
+    costs = [report.policy_cost, report.alternatives[0].cost]
+    assert [(c.value, c.stderr, c.tail_bound) for c in costs] == [
+        (0.5318527398118723, 0.00848786241512009, 1.7139616759755595e-05),
+        (1.3091981609566237, 0.036405519571585755, 0.08803061789747886),
+    ]
