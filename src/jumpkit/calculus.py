@@ -16,8 +16,7 @@ Paths come from the one batched Euler kernel of :mod:`jumpkit.sde`; a path
 jumping inside a grid step leaves its base-step normal unused.  Fields and
 coefficients may receive an array of sub-step times in ``t``, as
 ``ito_residual`` passes a whole path's left grid times.  ``dynkin_residual``
-hands all its blocks to the kernel as lanes of one batch, so ``workers``
-does nothing there.
+hands all its blocks to the kernel as lanes of one batch.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 
 from .distributions import expectation
 from .errors import NumericalError, ParameterError
-from .mc import block_ranges, estimate_from_samples
+from .mc import estimate_from_samples, map_blocks
 from .sde import _simulate_batch
 
 _BLOCK_SIZE = 1024  # paths per block and substream; fixes the draws, not the batching
@@ -153,7 +152,7 @@ def ito_residual(spec, field, path):
     return float(lhs - continuous - event_sum)
 
 
-def dynkin_residual(spec, field, x0, t, dt, n_paths, stream, workers=1):
+def dynkin_residual(spec, field, x0, t, dt, n_paths, stream):
     """Monte Carlo defect of the expectation identity
 
         E[F(X(t))] - F(x0) - E[ integral_0^t L F(X(s)) ds ]
@@ -161,12 +160,12 @@ def dynkin_residual(spec, field, x0, t, dt, n_paths, stream, workers=1):
     estimated over ``n_paths`` independent paths.  The integral uses
     left-point values on the simulation grid, matching the Euler order.
     Block b of paths draws from substream b, and the blocks are lanes of
-    one kernel run; ``workers`` is kept for compatibility and does nothing.
+    one kernel run.
     """
     if n_paths < 2:
         raise ParameterError("n_paths must be at least 2")
-    lanes = ((stream.substream(b).generator, hi - lo, None)
-             for b, (lo, hi) in enumerate(block_ranges(n_paths, _BLOCK_SIZE)))
+    lanes = map_blocks(lambda sub, lo, hi: (sub.generator, hi - lo, None),
+                       n_paths, stream, _BLOCK_SIZE)
     results = _simulate_batch(spec, x0, t, dt, lanes,
                               integrand=lambda s, y: generator_apply(spec, field, s, y))
     return estimate_from_samples(np.concatenate(

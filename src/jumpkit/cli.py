@@ -3,11 +3,12 @@
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 closed-form hypothesis violation.  All state flows through flags and
 the config document; outputs contain no timestamps or environment
-details, so a rerun with the same config and seed is byte-identical for
-any worker count.  ``workers`` is clamped to ``os.cpu_count()`` when the
-config is validated, and ``n_paths`` and ``n_trials`` must be integers no
-larger than ``MAX_COUNT``; a time step finer than the kernel's
-``MAX_STEPS`` grid steps is a configuration error too.
+details, so a rerun with the same config and seed is byte-identical.
+``--workers`` and the ``workers`` field are validated for compatibility
+and change nothing.  ``n_paths`` and ``n_trials`` must be integers no
+larger than ``MAX_COUNT``; work beyond the library's size bounds
+(``MAX_STEPS``, ``MAX_ARRIVALS``, ``MAX_NODES``, ``MAX_GRID_NODES``) is
+a configuration error too.
 
 One scenario per config file.  ``kind`` selects the computation:
 
@@ -224,7 +225,7 @@ def _estimate_rows(entries):
 # scenario executors
 
 
-def _run_simulate(params, stream, workers):
+def _run_simulate(params, stream):
     x0 = _require_number(params, "x0")
     horizon = _require_number(params, "horizon")
     dt = _require_number(params, "dt")
@@ -249,56 +250,39 @@ def _run_simulate(params, stream, workers):
     return ("t,x,jump_flag,intervention_flag,impulse".split(","), rows)
 
 
-def _renewal_spec(params):
-    spec = rn.RenewalSpec(
-        interarrival=_make_distribution(_require(params, "interarrival", dict),
-                                        "interarrival."),
-        delay=_make_distribution(params["delay"], "delay.") if "delay" in params else None,
-        reward=_make_distribution(params["reward"], "reward.") if "reward" in params else None,
-        lattice_period=_number(params.get("lattice_period", 0.0), "lattice_period"),
-    )
-    return spec
-
-
-def _run_renewal_check(params, stream, workers):
+def _run_renewal_check(params, stream):
     check = _require(params, "check", str)
     entries = []
-    if check == "mean-process":
-        spec = _renewal_spec(params)
+    if check in ("mean-process", "blackwell", "wald", "reward-rate", "delayed"):
+        spec = rn.RenewalSpec(
+            interarrival=_make_distribution(_require(params, "interarrival", dict),
+                                            "interarrival."),
+            delay=_make_distribution(params["delay"], "delay.") if "delay" in params else None,
+            reward=_make_distribution(params["reward"], "reward.") if "reward" in params else None,
+            lattice_period=_number(params.get("lattice_period", 0.0), "lattice_period"),
+        )
         t = _require_number(params, "t")
         n = _n_paths(params)
-        est = rn.estimate_mean_process(spec, t, n, stream, workers=workers)
+    if check == "mean-process":
+        est = rn.estimate_mean_process(spec, t, n, stream)
         entries += [("mean_process", est.value, est.stderr, est.n),
                     ("elementary_limit", t / spec.mean, 0.0, 0)]
     elif check == "blackwell":
-        spec = _renewal_spec(params)
-        t = _require_number(params, "t")
         a = _require_number(params, "a")
         mode = _require(params, "mode", str)
-        n = _n_paths(params)
-        est, limit = rn.blackwell_check(spec, t, a, mode, n, stream, workers=workers)
+        est, limit = rn.blackwell_check(spec, t, a, mode, n, stream)
         entries += [(f"blackwell_{mode}", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "wald":
-        spec = _renewal_spec(params)
-        t = _require_number(params, "t")
-        n = _n_paths(params)
-        lhs, rhs = rn.wald_check(spec, t, n, stream, workers=workers)
+        lhs, rhs = rn.wald_check(spec, t, n, stream)
         entries += [("stopped_sum", lhs.value, lhs.stderr, lhs.n),
                     ("count_times_mean", rhs.value, rhs.stderr, rhs.n)]
     elif check == "reward-rate":
-        spec = _renewal_spec(params)
-        t = _require_number(params, "t")
-        n = _n_paths(params)
-        est, limit = rn.reward_rate_check(spec, t, n, stream, workers=workers)
+        est, limit = rn.reward_rate_check(spec, t, n, stream)
         entries += [("reward_rate", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "delayed":
-        spec = _renewal_spec(params)
-        t = _require_number(params, "t")
-        n = _n_paths(params)
-        mean_est, age_est, age_limit = rn.delayed_renewal_stats(spec, t, n, stream,
-                                                                workers=workers)
+        mean_est, age_est, age_limit = rn.delayed_renewal_stats(spec, t, n, stream)
         entries += [("mean_process", mean_est.value, mean_est.stderr, mean_est.n),
                     ("age", age_est.value, age_est.stderr, age_est.n),
                     ("age_limit", age_limit, 0.0, 0)]
@@ -320,8 +304,7 @@ def _run_renewal_check(params, stream, workers):
             sample_cycles=sample_cycles,
             mean_occupations=1.0 / rates,
         )
-        est, limit = rn.regenerative_occupancy(spec, state, horizon, n, stream,
-                                               workers=workers)
+        est, limit = rn.regenerative_occupancy(spec, state, horizon, n, stream)
         entries += [("occupancy", est.value, est.stderr, est.n),
                     ("limit", limit, 0.0, 0)]
     elif check == "renewal-equation":
@@ -344,7 +327,7 @@ def _run_renewal_check(params, stream, workers):
     return ("name,value,stderr,n".split(","), _estimate_rows(entries))
 
 
-def _run_pattern_expect(params, stream, workers):
+def _run_pattern_expect(params, stream):
     pattern = Pattern(tuple(_normalize_symbol(s)
                             for s in _require(params, "pattern", list)))
     source = _make_source(_require(params, "source", dict))
@@ -365,7 +348,7 @@ def _run_pattern_expect(params, stream, workers):
     return ("name,value,stderr,n".split(","), _estimate_rows(entries))
 
 
-def _run_pattern_race(params, stream, workers):
+def _run_pattern_race(params, stream):
     raw_patterns = _require(params, "patterns", list)
     patterns = [Pattern(tuple(_normalize_symbol(s) for s in p)) for p in raw_patterns]
     source = _make_source(_require(params, "source", dict))
@@ -379,7 +362,7 @@ def _run_pattern_race(params, stream, workers):
     n_trials = _count(params.get("n_trials", 0), "n_trials")
     if n_trials > 0:
         sim = simulate_pattern_race(patterns, source, n_trials, stream,
-                                    initial_state=initial_state, workers=workers)
+                                    initial_state=initial_state)
         for i in range(len(patterns)):
             entries.append((f"mc_P_{i + 1}", sim.probabilities[i], sim.prob_stderr[i],
                             sim.n_trials - sim.n_truncated))
@@ -400,7 +383,7 @@ def _benchmark_params(params):
     return BenchmarkParams(**kwargs)
 
 
-def _run_impulse_solve(params, stream, workers):
+def _run_impulse_solve(params, stream):
     bench = _benchmark_params(params)
     solution = solve_benchmark_qvi(bench)
     problem = make_benchmark_problem(bench)
@@ -419,7 +402,7 @@ def _run_impulse_solve(params, stream, workers):
     ]
 
 
-def _run_impulse_verify(params, stream, workers):
+def _run_impulse_verify(params, stream):
     bench = _benchmark_params(params)
     n_paths = _n_paths(params)
     dt = _require_number(params, "dt")
@@ -448,8 +431,7 @@ def _run_impulse_verify(params, stream, workers):
     for j, y0 in enumerate(y0_list):
         report = verify_value(problem, solution.candidate, policy, y0,
                               alternatives, n_paths, dt, stream.substream(j),
-                              allowance_coeff=allowance_coeff, horizon=horizon,
-                              workers=workers)
+                              allowance_coeff=allowance_coeff, horizon=horizon)
         rows.append(("equality", _fmt(y0), _fmt(report.candidate_value),
                      _fmt(report.policy_cost.value), _fmt(report.policy_cost.stderr),
                      str(int(report.equality_passed))))
@@ -475,7 +457,7 @@ def execute_scenario(scenario, out_dir, fmt="csv"):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = derive_stream(scenario.seed, 0)
-    result = _EXECUTORS[scenario.kind](scenario.parameters, stream, scenario.workers)
+    result = _EXECUTORS[scenario.kind](scenario.parameters, stream)
     if isinstance(result, tuple):
         result = [result]
     written = []
@@ -494,7 +476,8 @@ def main(argv=None):
     )
     parser.add_argument("--config", required=True, help="path to the scenario JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=None, help="worker thread count")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; changes nothing")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)

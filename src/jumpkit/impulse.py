@@ -22,8 +22,7 @@ base-step normal unused and meets the policy at each jump instant, so the
 cost callables may receive an array of sub-step times.  Every block of
 paths of every policy in one estimate or verification is a lane of a
 single kernel run (block b of a policy on substream b of its stream), so
-each estimate is bit-identical to stepping its blocks one after another,
-and ``workers`` no longer does anything for cost estimation.
+each estimate is bit-identical to stepping its blocks one after another.
 
 Infinite-horizon discounted problems fold e^{-rho t} into the running and
 intervention costs and factor candidates as phi(t, x) = e^{-rho t} psi(x).
@@ -40,7 +39,7 @@ from scipy.interpolate import CubicSpline
 
 from .calculus import ScalarField, generator_apply
 from .errors import DegeneratePolicyError, NumericalError, ParameterError
-from .mc import EstimateWithCI, block_ranges, estimate_from_samples
+from .mc import EstimateWithCI, estimate_from_samples, map_blocks
 from .sde import _simulate_batch, in_intervals
 
 
@@ -146,8 +145,7 @@ class ImpulsePolicy:
     """Open continuation intervals plus the impulse map on their exterior.
 
     ``grid``/``targets`` tabulate the post-impulse position at exterior
-    nodes; queries interpolate linearly and clamp beyond the table.  The
-    policy is immutable and safe to share between threads.
+    nodes; queries interpolate linearly and clamp beyond the table.
     """
 
     intervals: tuple
@@ -483,7 +481,7 @@ class CostEstimate:
 
 
 def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
-                  workers=1, block_size=256, max_interventions=100_000):
+                  block_size=256, max_interventions=100_000):
     """Estimate the closed-loop objective from ``y0`` by Monte Carlo.
 
     The running cost is accumulated by the trapezoidal rule on the path
@@ -495,7 +493,7 @@ def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
 
     Paths form fixed blocks, block b on substream b, and the blocks are
     lanes of one kernel run, so the result does not depend on how they are
-    stepped.  ``workers`` is kept for compatibility and does nothing.
+    stepped.
     """
     return _estimate_costs(problem, [(policy, stream)], y0, n_paths, dt, horizon=horizon,
                            block_size=block_size, max_interventions=max_interventions)[0]
@@ -515,16 +513,17 @@ def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, block_size=256
         horizon = 14.0 / problem.discount
     if n_paths < 1:
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
-    blocks = block_ranges(n_paths, block_size)
-    lanes = ((stream.substream(b).generator, hi - lo, policy)
-             for policy, stream in jobs for b, (lo, hi) in enumerate(blocks))
+    lanes = [lane for policy, stream in jobs
+             for lane in map_blocks(lambda sub, lo, hi: (sub.generator, hi - lo, policy),
+                                    n_paths, stream, block_size)]
+    n_blocks = len(lanes) // len(jobs)
     results = _simulate_batch(
         problem.dynamics, y0, horizon, dt, lanes, intervention_cost=problem.intervention_cost,
         max_interventions=max_interventions, integrand=problem.running_cost, trapezoid=True)
 
     estimates = []
     for j, (policy, _) in enumerate(jobs):
-        mine = results[j * len(blocks):(j + 1) * len(blocks)]
+        mine = results[j * n_blocks:(j + 1) * n_blocks]
         costs = np.concatenate([lane.integral for lane in mine])
         if problem.horizon is not None and problem.terminal_cost is not None:
             final = np.concatenate([lane.x for lane in mine])
@@ -592,8 +591,7 @@ def verify_value(problem, candidate, policy, y0, alternatives, n_paths, dt, stre
     The policy's cost is estimated on ``stream.substream(0)`` and the j-th
     alternative's on ``stream.substream(j + 1)``, every block of every
     policy a lane of one kernel run; each cost equals ``estimate_cost`` on
-    that substream bit for bit.  ``workers`` is kept for compatibility and
-    does nothing.
+    that substream bit for bit.  ``workers`` is accepted and ignored.
     """
     phi0 = float(candidate.value(0.0, y0))
     alternatives = list(alternatives)

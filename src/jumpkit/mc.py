@@ -1,12 +1,11 @@
-"""Monte Carlo plumbing: estimates with standard errors, replication driver.
+"""Monte Carlo plumbing: estimates with standard errors, one block driver.
 
-The replication driver pins the randomness of replication ``i`` to
-substream ``i`` and stores results by index, so estimates are bit-identical
-for any worker count.  Reductions go through numpy's pairwise summation on
-the assembled array, which is likewise independent of scheduling.
+Every Monte Carlo routine splits its samples into fixed blocks and block
+``b`` draws only from substream ``b`` of the stream it was handed.  That
+rule lives here, in :func:`map_blocks`; the blocks run one after another
+in one thread, and results come back in block order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,40 +39,33 @@ def estimate_from_samples(samples):
     return EstimateWithCI(value=value, stderr=stderr, n=n)
 
 
-def replicate(kernel, n, stream, workers=1):
+def replicate(kernel, n, stream):
     """Run ``kernel(substream, i)`` for ``i in range(n)`` and stack results.
 
     This is :func:`map_blocks` with blocks of one: replication ``i`` draws
-    only from substream ``i``, and ``workers`` merely parallelises the
-    schedule and cannot change any output bit.
+    only from substream ``i``.
     """
     if n < 1:
         raise ValueError("replication count must be positive")
-    results = map_blocks(lambda sub, lo, _hi: kernel(sub, lo), n, stream, 1, workers=workers)
+    results = map_blocks(lambda sub, lo, _hi: kernel(sub, lo), n, stream, 1)
     return np.asarray(results, dtype=float)
 
 
 def block_ranges(n, block_size):
     """Split ``range(n)`` into contiguous blocks of fixed size.
 
-    Block boundaries depend only on ``n`` and ``block_size``, never on the
-    worker count, so block-indexed substreams stay reproducible.
+    Block boundaries depend only on ``n`` and ``block_size``, so
+    block-indexed substreams stay reproducible.
     """
     return [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
 
 
-def map_blocks(block_kernel, n, stream, block_size, workers=1):
+def map_blocks(block_kernel, n, stream, block_size):
     """Run ``block_kernel(substream, lo, hi)`` over fixed-size blocks.
 
+    Block ``b`` covers ``range(lo, hi)`` and gets ``stream.substream(b)``.
     Results are returned in block order as a list; callers concatenate or
     reduce them deterministically.
     """
-    def _run(job):
-        b, (lo, hi) = job
-        return block_kernel(stream.substream(b), lo, hi)
-
-    jobs = enumerate(block_ranges(n, block_size))
-    if workers <= 1:
-        return list(map(_run, jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run, jobs))
+    return [block_kernel(stream.substream(b), lo, hi)
+            for b, (lo, hi) in enumerate(block_ranges(n, block_size))]

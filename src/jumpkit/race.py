@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .mc import EstimateWithCI, map_blocks
+from .mc import EstimateWithCI, estimate_from_samples, map_blocks
 from .patterns import (
     MarkovChain,
     Pattern,
@@ -171,14 +171,21 @@ def run_race_probability_two_stage(n, m, r, p1, p2):
     return run_race_probability(n, m, p1) * run_race_probability(r, m, p2)
 
 
+def _cumulative(probs):
+    """Cumulative sums along the last axis, the last set to infinity: a draw
+    ``u`` picks the first symbol whose sum exceeds it, else the last symbol."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
+
+
 def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None,
-                          max_steps=1_000_000, block_size=8192, workers=1):
+                          max_steps=1_000_000, block_size=8192):
     """Monte Carlo race: empirical win probabilities and minimum time.
 
     Trials exceeding ``max_steps`` are counted as truncated and excluded
     from the estimates.  Simulation is vectorised over fixed-size blocks
-    of trials; block b draws from substream b, so results do not depend on
-    the worker count.
+    of trials; block b draws from substream b.
     """
     patterns = [_symbols(p) for p in patterns]
     if n_trials < 1:
@@ -189,11 +196,11 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
         if initial_state is None:
             raise ParameterError("Markov races need the initial chain state")
         alphabet = source.states
-        cum_rows = np.cumsum(source.matrix, axis=1)
+        cum_rows = _cumulative(source.matrix)
         start_idx = source.index(initial_state)
     else:
         alphabet = source.symbols
-        cum = np.cumsum(source.probs)
+        cum = _cumulative(source.probs)
     missing = [s for p in patterns for s in p if s not in alphabet]
     if missing:
         raise ParameterError(f"pattern symbols {missing} not in source alphabet")
@@ -216,7 +223,6 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
                 last[alive] = sym
             else:
                 sym = np.searchsorted(cum, u, side="right")
-                sym = np.minimum(sym, len(alphabet) - 1)
             done_any = np.zeros(alive.size, dtype=bool)
             hit_first = np.full(alive.size, -1, dtype=np.int64)
             for k in range(n_pat - 1, -1, -1):
@@ -233,7 +239,7 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
                     break
         return winner, steps
 
-    results = map_blocks(_block, n_trials, stream, block_size, workers=workers)
+    results = map_blocks(_block, n_trials, stream, block_size)
     winner = np.concatenate([w for w, _ in results])
     steps = np.concatenate([s for _, s in results])
 
@@ -244,16 +250,10 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
         raise NumericalError("every race trial hit the step cap")
     probs = np.array([(winner == k).sum() / n_done for k in range(n_pat)])
     prob_se = np.sqrt(np.maximum(probs * (1 - probs), 0.0) / n_done)
-    done_steps = steps[completed].astype(float)
-    min_time = EstimateWithCI(
-        value=float(done_steps.mean()),
-        stderr=float(done_steps.std(ddof=1) / np.sqrt(n_done)) if n_done > 1 else 0.0,
-        n=n_done,
-    )
     return SimulatedRace(
         probabilities=probs,
         prob_stderr=prob_se,
-        min_time=min_time,
+        min_time=estimate_from_samples(steps[completed]),
         n_trials=n_trials,
         n_truncated=n_trunc,
     )
@@ -345,7 +345,7 @@ class AlternatingRunRaceReport:
         return out
 
 
-def alternating_run_race_report(n, m, p, n_trials, stream, workers=1):
+def alternating_run_race_report(n, m, p, n_trials, stream):
     """Compare every pipeline on the alternating-vs-runs race.
 
     Builds the exact expected waiting times, the two-pattern closed form,
@@ -366,9 +366,7 @@ def alternating_run_race_report(n, m, p, n_trials, stream, workers=1):
     closed_min = e_runs - e_runs_after_alt * closed_p1
 
     race = race_solve([alternating, runs], source)
-    simulated = simulate_pattern_race(
-        [alternating, runs], source, n_trials, stream, workers=workers
-    )
+    simulated = simulate_pattern_race([alternating, runs], source, n_trials, stream)
     decomposition = conditional_decomposition_probabilities(n, m, p)
 
     return AlternatingRunRaceReport(

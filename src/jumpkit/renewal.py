@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import DistributionError, HypothesisViolationError, ParameterError
 from .mc import estimate_from_samples, replicate
+from .sde import MAX_STEPS
+
+MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
 
 
 @dataclass
@@ -75,6 +78,12 @@ class RegenerativeSpec:
         return float(m[state] / m.sum())
 
 
+def _check_arrivals(span, mean):
+    """Refuse, before any draw, a path expecting over ``MAX_ARRIVALS`` arrivals (or NaN)."""
+    if not span / mean <= MAX_ARRIVALS:
+        raise ParameterError(f"{span / mean:.3g} arrivals per path, more than MAX_ARRIVALS")
+
+
 def _draw_gaps(gen, dist, count):
     gaps = np.asarray(dist.sample(gen, count), dtype=float)
     if np.any(gaps <= 0):
@@ -90,6 +99,7 @@ def simulate_renewal(spec, horizon, stream):
     """
     if horizon <= 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
+    _check_arrivals(horizon, spec.mean)
     gen = stream.generator
     arrivals = []
     total = 0.0
@@ -111,7 +121,7 @@ def simulate_renewal(spec, horizon, stream):
     return np.concatenate(arrivals)
 
 
-def estimate_mean_process(spec, t, n_paths, stream, workers=1):
+def estimate_mean_process(spec, t, n_paths, stream):
     """Monte Carlo estimate of m(t) = E[N(t)]."""
     if t <= 0:
         raise ParameterError("t must be positive")
@@ -119,7 +129,7 @@ def estimate_mean_process(spec, t, n_paths, stream, workers=1):
     def _one(sub, _i):
         return simulate_renewal(spec, t, sub).size
 
-    return estimate_from_samples(replicate(_one, n_paths, stream, workers=workers))
+    return estimate_from_samples(replicate(_one, n_paths, stream))
 
 
 def _arrivals_and_rewards(spec, horizon, sub):
@@ -128,7 +138,7 @@ def _arrivals_and_rewards(spec, horizon, sub):
     return arrivals, rewards
 
 
-def blackwell_check(spec, t, a, mode, n_paths, stream, workers=1):
+def blackwell_check(spec, t, a, mode, n_paths, stream):
     """Estimate a stationary-increment quantity and pair it with its limit.
 
     mode:
@@ -143,6 +153,7 @@ def blackwell_check(spec, t, a, mode, n_paths, stream, workers=1):
     if a <= 0:
         raise ParameterError("a must be positive")
     mu = spec.mean
+    _check_arrivals(t + a, mu)
 
     if mode == "nonlattice":
         if spec.lattice_period > 0:
@@ -212,11 +223,11 @@ def blackwell_check(spec, t, a, mode, n_paths, stream, workers=1):
     else:
         raise ParameterError(f"unknown blackwell mode: {mode!r}")
 
-    est = estimate_from_samples(replicate(_one, n_paths, stream, workers=workers))
+    est = estimate_from_samples(replicate(_one, n_paths, stream))
     return est, float(limit)
 
 
-def wald_check(spec, t, n_paths, stream, workers=1):
+def wald_check(spec, t, n_paths, stream):
     """Both sides of the stopped-sum identity at the stopping time N(t) + 1.
 
     Returns estimates of E[sum of the first N(t)+1 gaps] and of
@@ -225,6 +236,7 @@ def wald_check(spec, t, n_paths, stream, workers=1):
     if t <= 0:
         raise ParameterError("t must be positive")
     mu = spec.mean
+    _check_arrivals(t, mu)
 
     def _one(sub, _i):
         gen = sub.generator
@@ -240,11 +252,11 @@ def wald_check(spec, t, n_paths, stream, workers=1):
             count += times.size
             total = times[-1]
 
-    pairs = replicate(_one, n_paths, stream, workers=workers)
+    pairs = replicate(_one, n_paths, stream)
     return estimate_from_samples(pairs[:, 0]), estimate_from_samples(pairs[:, 1])
 
 
-def reward_rate_check(spec, t, n_paths, stream, workers=1):
+def reward_rate_check(spec, t, n_paths, stream):
     """Estimate of R(t)/t with the long-run limit E[R] / mu."""
     if spec.reward is None:
         raise HypothesisViolationError("reward_rate_check requires a reward distribution")
@@ -255,11 +267,11 @@ def reward_rate_check(spec, t, n_paths, stream, workers=1):
         _, rewards = _arrivals_and_rewards(spec, t, sub)
         return rewards.sum() / t
 
-    est = estimate_from_samples(replicate(_one, n_paths, stream, workers=workers))
+    est = estimate_from_samples(replicate(_one, n_paths, stream))
     return est, float(spec.reward.mean / spec.mean)
 
 
-def delayed_renewal_stats(spec, t, n_paths, stream, workers=1):
+def delayed_renewal_stats(spec, t, n_paths, stream):
     """Mean count and age of a delayed renewal process at time t.
 
     Returns ``(mean_process, age, age_limit)`` where the age limit is
@@ -280,7 +292,7 @@ def delayed_renewal_stats(spec, t, n_paths, stream, workers=1):
         last = arrivals[-1] if arrivals.size else 0.0
         return (arrivals.size, t - last)
 
-    pairs = replicate(_one, n_paths, stream, workers=workers)
+    pairs = replicate(_one, n_paths, stream)
     age_limit = m2 / (2.0 * spec.mean)
     return (
         estimate_from_samples(pairs[:, 0]),
@@ -289,7 +301,7 @@ def delayed_renewal_stats(spec, t, n_paths, stream, workers=1):
     )
 
 
-def regenerative_occupancy(spec, state, horizon, n_paths, stream, workers=1):
+def regenerative_occupancy(spec, state, horizon, n_paths, stream):
     """Long-run fraction of time a regenerative process spends in ``state``.
 
     The cycle straddling the horizon is included whole; the resulting bias
@@ -302,6 +314,7 @@ def regenerative_occupancy(spec, state, horizon, n_paths, stream, workers=1):
         raise ParameterError("horizon must be positive")
     limit = spec.limit_fraction(state)
     mean_cycle = float(np.sum(spec.mean_occupations))
+    _check_arrivals(horizon, mean_cycle)
 
     def _one(sub, _i):
         gen = sub.generator
@@ -323,5 +336,5 @@ def regenerative_occupancy(spec, state, horizon, n_paths, stream, workers=1):
             in_state += occ[:take, state].sum()
         return in_state / total
 
-    est = estimate_from_samples(replicate(_one, n_paths, stream, workers=workers))
+    est = estimate_from_samples(replicate(_one, n_paths, stream))
     return est, limit

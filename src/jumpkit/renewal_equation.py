@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
+from .sde import MAX_STEPS
+
+MAX_NODES = MAX_STEPS  # grid steps t_max / delta; more raise ParameterError
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,10 @@ class RenewalEquationSolution:
 
 def _mean_process_grid(cdf, t_max, delta):
     """Forward-substitution solve of the discretised renewal equation."""
+    if not delta > 0:
+        raise ParameterError("delta must be positive")
+    if not t_max / delta <= MAX_NODES:
+        raise ParameterError(f"{t_max / delta:.3g} grid steps, more than MAX_NODES")
     n = int(round(t_max / delta))
     if n < 2:
         raise ParameterError("t_max must cover at least two grid steps")
@@ -73,8 +80,6 @@ def solve_renewal_equation(cdf, f, t_max, delta):
     process values, the value of  integral_0^{t_max} f(t_max - s) dm(s)
     and the analytic limit (1 / mu) integral_0^inf f.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
     times, m = _mean_process_grid(cdf, t_max, delta)
     f_vals = np.asarray(f(times), dtype=float)
 

@@ -8,9 +8,9 @@ key is built from ``(master_seed, stream_index)``, so
 * distinct stream indices under one master seed give statistically
   independent streams without any coordination.
 
-Monte Carlo drivers assign replication ``i`` the substream of index ``i``
-derived from the stream they were handed.  Results are therefore invariant
-to how replications are scheduled across worker threads.
+Monte Carlo drivers give block ``b`` of samples substream ``b`` of the
+stream they were handed (:func:`jumpkit.mc.map_blocks`), so a result
+depends only on the seed, the sample count and the block size.
 """
 
 from dataclasses import dataclass, field

@@ -348,3 +348,42 @@ def test_workers_clamped_to_cpu_count():
     assert parse_config({**RACE_DOC, "workers": 1}).workers == 1
     with pytest.raises(ConfigError, match="workers must be a positive integer"):
         parse_config({**RACE_DOC, "workers": True})
+
+
+IMPULSE_SOLVE_DOC = {"kind": "impulse-solve", "seed": 1,
+                     "parameters": {"benchmark": {"grid_step": 0.02}}}
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"grid_step": 0}, "grid step must be positive"),
+    ({"grid_step": -0.005}, "grid step must be positive"),
+    ({"grid_lo": 6, "grid_hi": -6}, "need grid_lo < grid_hi"),
+    ({"grid_lo": 1, "grid_hi": 1}, "need grid_lo < grid_hi"),
+    ({"grid_step": 1e-7}, "MAX_GRID_NODES"),
+], ids=["step-zero", "step-negative", "lo-above-hi", "lo-equals-hi", "too-many-nodes"])
+def test_bad_qvi_grid_exit_code(tmp_path, capsys, grid, message):
+    doc = _with_parameters(IMPULSE_SOLVE_DOC, benchmark=grid)
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"t": 1e300}, "MAX_ARRIVALS"),
+    ({"check": "wald", "t": 1e300}, "MAX_ARRIVALS"),
+    ({"check": "blackwell", "mode": "random_walk", "t": 1e300, "a": 1.0}, "MAX_ARRIVALS"),
+    ({"check": "regenerative", "rates": [1.0, 2.0], "state": 0, "horizon": 1e300},
+     "MAX_ARRIVALS"),
+    ({"check": "renewal-equation", "t_max": 1e12, "step": 1e-3}, "MAX_NODES"),
+    ({"check": "last-renewal-cdf", "t": 1.0, "s": 0.5, "step": 0}, "delta must be positive"),
+], ids=["mean-process", "wald", "blackwell-random-walk", "regenerative", "renewal-equation",
+        "last-renewal-cdf-step-zero"])
+def test_oversized_renewal_work_exit_code(tmp_path, capsys, changes, message):
+    doc = _with_parameters(RENEWAL_DOC, **changes)
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not list(tmp_path.glob("*.csv"))

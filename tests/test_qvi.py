@@ -32,6 +32,20 @@ def test_params_validation():
         BenchmarkParams(jump_size=0.6117, grid_step=0.005)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"grid_step": 0.0}, "grid step must be positive"),
+    ({"grid_step": -0.005}, "grid step must be positive"),
+    ({"grid_step": float("nan")}, "grid step must be positive"),
+    ({"grid_lo": 6.0, "grid_hi": -6.0}, "grid_lo < grid_hi"),
+    ({"grid_lo": float("nan")}, "grid_lo < grid_hi"),
+    ({"grid_hi": float("inf")}, "MAX_GRID_NODES"),
+    ({"grid_step": 1e-7}, "MAX_GRID_NODES"),
+])
+def test_params_reject_bad_grids(grid, message):
+    with pytest.raises(ParameterError, match=message):
+        BenchmarkParams(**grid)
+
+
 def test_solution_is_symmetric(solution):
     x, psi = solution.candidate.x, solution.candidate.values
     assert np.max(np.abs(psi - psi[::-1])) < 1e-8

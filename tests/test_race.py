@@ -112,15 +112,36 @@ def test_simulated_race_truncation_counted(stream):
         == pytest.approx(sim.n_trials)
 
 
-def test_simulated_race_worker_invariance(stream):
-    patterns = [(1, 1), (0, 0)]
-    runs = [
-        simulate_pattern_race(patterns, FAIR, 30_000, stream, workers=w)
-        for w in (1, 3, 8)
-    ]
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].probabilities, other.probabilities)
-        assert runs[0].min_time.value == other.min_time.value
+class _ConstantStream:
+    """A stream whose every substream draws the uniform ``u`` forever."""
+
+    def __init__(self, u):
+        self.u = u
+        self.generator = self
+
+    def substream(self, _index):
+        return self
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+SHORT_ROW = [0.5, 0.5 - 5e-13]  # sums to 1 - 5e-13, inside both sources' tolerance
+
+
+@pytest.mark.parametrize("source", [
+    MarkovChain([SHORT_ROW, SHORT_ROW]),
+    {0: SHORT_ROW[0], 1: SHORT_ROW[1]},
+], ids=["markov", "iid"])
+@pytest.mark.parametrize("u, winner", [(0.25, 1), (0.75, 0), (1 - 1e-14, 0)],
+                         ids=["first-symbol", "last-symbol", "beyond-row-end"])
+def test_symbol_draw_rule(source, u, winner):
+    # a draw maps to the first symbol whose cumulative probability exceeds
+    # it, and a draw at or above the row's rounded total to the last symbol
+    sim = simulate_pattern_race([(1, 1), (0, 0)], source, 10, _ConstantStream(u),
+                                initial_state=0)
+    assert sim.probabilities[winner] == 1.0
+    assert sim.min_time.value == 2.0
 
 
 def test_conditional_decomposition_reproduces_reported_values():

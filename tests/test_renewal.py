@@ -262,3 +262,26 @@ def test_elementary_renewal_bound(stream):
         est = estimate_mean_process(spec, t, 3000, stream.substream(i))
         bound = 3 * est.stderr / t + 2 * mu / t
         assert abs(est.value / t - 1 / mu) <= bound, dist
+
+
+LATTICE = RenewalSpec(interarrival=Discrete([1.0, 2.0], [0.5, 0.5]), lattice_period=1.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: simulate_renewal(RenewalSpec(interarrival=Exponential(1.0)), 1e300, s),
+    lambda s: simulate_renewal(RenewalSpec(interarrival=Exponential(1.0)), np.nan, s),
+    lambda s: estimate_mean_process(RenewalSpec(interarrival=Exponential(1.0)), 1e300, 5, s),
+    lambda s: wald_check(RenewalSpec(interarrival=Exponential(1.0)), 1e300, 5, s),
+    lambda s: wald_check(RenewalSpec(interarrival=Exponential(1.0)), np.nan, 5, s),
+    lambda s: blackwell_check(RenewalSpec(interarrival=Uniform(0.0, 2.0)), 1e300, 1.0,
+                              "nonlattice", 5, s),
+    lambda s: blackwell_check(LATTICE, 1e300, 1.0, "lattice", 5, s),
+    lambda s: blackwell_check(RenewalSpec(interarrival=Uniform(-1.0, 3.0)), 1e300, 1.0,
+                              "random_walk", 5, s),
+    lambda s: regenerative_occupancy(_alternating_spec(), 0, 1e300, 5, s),
+], ids=["simulate", "simulate-nan", "mean-process", "wald", "wald-nan", "blackwell-nonlattice",
+        "blackwell-lattice", "blackwell-random-walk", "regenerative"])
+def test_oversized_paths_refused(stream, run):
+    # 1e300 / mean arrivals per path would be drawn in one chunk; refuse first
+    with pytest.raises(ParameterError, match="MAX_ARRIVALS"):
+        run(stream)

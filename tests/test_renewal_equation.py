@@ -85,3 +85,12 @@ def test_invalid_window_rejected():
         last_renewal_cdf(Exponential(1.0).cdf, 5.0, 6.0, 1e-2)
     with pytest.raises(ParameterError):
         solve_renewal_equation(Exponential(1.0).cdf, lambda s: np.exp(-s), 10.0, -0.1)
+
+
+def test_oversized_or_degenerate_grid_refused():
+    with pytest.raises(ParameterError, match="MAX_NODES"):
+        solve_renewal_equation(Exponential(1.0).cdf, np.exp, 1e12, 1e-3)
+    with pytest.raises(ParameterError, match="delta must be positive"):
+        last_renewal_cdf(Exponential(1.0).cdf, 1.0, 0.5, 0.0)
+    with pytest.raises(ParameterError, match="MAX_NODES"):
+        solve_renewal_equation(Exponential(1.0).cdf, np.exp, np.nan, 0.01)
