@@ -4,10 +4,15 @@ Two independent routes to every expected waiting time:
 
 * closed forms built from the stationary distribution, path
   probabilities and mean hitting times of the source;
-* an exact automaton oracle: the failure-function automaton of the
-  pattern, with the expected absorption time obtained from a linear
-  solve.  The oracle needs no overlap hypotheses and is the arbiter
-  whenever the closed forms do not apply.
+* an exact automaton oracle: the expected absorption time of the
+  pattern's matching automaton, from a linear solve.  The oracle needs
+  no overlap hypotheses and is the arbiter whenever the closed forms do
+  not apply.
+
+One builder, ``_source_automaton``, makes the matching automaton for
+iid and Markov sources alike: its states pair the matched length of
+every pattern with the source row, so the same table serves the oracle
+(one pattern) and the Monte Carlo race in :mod:`jumpkit.race` (many).
 
 Waiting times count observed symbols.  ``expected_time_markov`` and
 ``expected_time_iid`` give the expected gap between completions when the
@@ -367,15 +372,55 @@ def _transition_table(pattern, alphabet):
     return table
 
 
+def _source_automaton(patterns, source, start_progress, start_row):
+    """Joint matching automaton of ``patterns`` over ``source``.
+
+    A state pairs the matched length of every pattern with the source row
+    (the last symbol for a Markov source, 0 for an iid one): from a fresh
+    start, the Aho-Corasick states of the patterns times the row.  State 0
+    holds ``start_progress`` and ``start_row``; the rest are numbered
+    breadth first.  Returns ``(table, law, winner)``: ``table[s, y]`` is
+    the state after symbol y, ``law[s]`` the next-symbol law and
+    ``winner[s]`` the lowest index among completed patterns, or -1.
+    Winning states are absorbing.
+    """
+    markov = isinstance(source, MarkovChain)
+    alphabet = source.states if markov else source.symbols
+    missing = [s for p in patterns for s in p if s not in alphabet]
+    if missing:
+        raise ParameterError(f"pattern symbols {missing} not in source alphabet")
+    deltas = [_transition_table(p, alphabet) for p in patterns]
+    lengths = [len(p) for p in patterns]
+    keys = [(tuple(start_progress), start_row)]
+    index = {keys[0]: 0}
+    table, winner = [], []
+    for s, (progress, _) in enumerate(keys):  # keys grows as states are found
+        done = [k for k, (j, m) in enumerate(zip(progress, lengths)) if j == m]
+        winner.append(done[0] if done else -1)
+        if done:
+            table.append([s] * len(alphabet))
+            continue
+        successors = []
+        for y in range(len(alphabet)):
+            key = (tuple(int(d[j, y]) for d, j in zip(deltas, progress)), y if markov else 0)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+            successors.append(index[key])
+        table.append(successors)
+    law = (source.matrix if markov else source.probs[None, :])[[row for _, row in keys]]
+    return np.array(table, dtype=np.int64), law, np.array(winner, dtype=np.int64)
+
+
 def automaton_expected_time(pattern, source, start_progress=0, last_symbol=None):
     """Exact expected symbols to complete ``pattern`` from a given state.
 
     ``start_progress`` is the number of pattern symbols already matched
     (0 for a fresh start; the pattern's overlap for the post-occurrence
     state).  For Markov sources with ``start_progress == 0`` the current
-    chain state must be supplied as ``last_symbol``.  No overlap
-    hypotheses are required; the expected absorption time of the matching
-    automaton is obtained from a linear solve.
+    chain state must be supplied as ``last_symbol``; iid sources ignore
+    it.  No overlap hypotheses are required; the expected absorption time
+    of the matching automaton is obtained from a linear solve.
     """
     pattern = pattern if isinstance(pattern, Pattern) else Pattern(tuple(pattern))
     source = _as_source(source)
@@ -383,59 +428,20 @@ def automaton_expected_time(pattern, source, start_progress=0, last_symbol=None)
     m = len(xs)
     if not 0 <= start_progress < m:
         raise ParameterError(f"start_progress must lie in [0, {m}), got {start_progress}")
+    start_row = 0
+    if isinstance(source, MarkovChain):
+        if start_progress == 0 and last_symbol is None:
+            raise ParameterError("Markov sources need last_symbol when starting from scratch")
+        if start_progress and last_symbol not in (None, xs[start_progress - 1]):
+            raise ParameterError("last_symbol contradicts the matched prefix at this progress")
+        start_row = source.index(xs[start_progress - 1] if start_progress else last_symbol)
 
-    if isinstance(source, IIDSource):
-        alphabet = source.symbols
-        table = _transition_table(xs, alphabet)
-        a = np.eye(m)
-        for j in range(m):
-            for yi in range(len(alphabet)):
-                j2 = table[j, yi]
-                if j2 < m:
-                    a[j, j2] -= source.probs[yi]
-        b = np.ones(m)
-        expected = _solve_absorption(a, b)
-        return float(expected[start_progress])
-
-    chain = source
-    alphabet = chain.states
-    if any(s not in alphabet for s in xs):
-        raise ParameterError("pattern symbols must be chain states")
-    table = _transition_table(xs, alphabet)
-    if start_progress == 0 and last_symbol is None:
-        raise ParameterError("Markov sources need last_symbol when starting from scratch")
-
-    # states: progress 0 annotated with the current chain state, plus
-    # progress 1..m-1 (whose last symbol is implied by the pattern)
-    n_states = chain.n_states + (m - 1)
-
-    def _state_id(progress, chain_idx):
-        return chain_idx if progress == 0 else chain.n_states + progress - 1
-
-    a = np.eye(n_states)
-    for progress in range(m):
-        if progress == 0:
-            rows = [(_state_id(0, ci), ci) for ci in range(chain.n_states)]
-        else:
-            rows = [(_state_id(progress, None), chain.index(xs[progress - 1]))]
-        for row, ci in rows:
-            for yi in range(chain.n_states):
-                prob = chain.matrix[ci, yi]
-                if prob == 0:
-                    continue
-                j2 = table[progress, yi]
-                if j2 == m:
-                    continue
-                a[row, _state_id(j2, yi)] -= prob
-    b = np.ones(n_states)
-    expected = _solve_absorption(a, b)
-    if start_progress == 0:
-        return float(expected[_state_id(0, chain.index(last_symbol))])
-    if last_symbol is not None and last_symbol != xs[start_progress - 1]:
-        raise ParameterError(
-            "last_symbol contradicts the matched prefix at this progress"
-        )
-    return float(expected[_state_id(start_progress, None)])
+    table, law, winner = _source_automaton([xs], source, (start_progress,), start_row)
+    a = np.eye(len(table))
+    np.subtract.at(a, (np.arange(len(table))[:, None], table), law)
+    transient = winner < 0
+    expected = _solve_absorption(a[np.ix_(transient, transient)], np.ones(transient.sum()))
+    return float(expected[0])  # the start state
 
 
 def carryover_progress(target, observed):
@@ -469,6 +475,4 @@ def conditional_expected_time(target, observed, source):
     carry = carryover_progress(t, o)
     if carry == len(t):
         return 0.0
-    source = _as_source(source)
-    last = o[-1] if isinstance(source, MarkovChain) else None
-    return automaton_expected_time(t, source, start_progress=carry, last_symbol=last)
+    return automaton_expected_time(t, source, start_progress=carry, last_symbol=o[-1])

@@ -7,22 +7,25 @@ extra wait for k right after j completes, the race satisfies
 
 which, with the probabilities summing to one, is an M x M linear system in
 (P_1, ..., P_{M-1}, E[T_min]).  The waiting times are produced by the
-exact automaton oracle, so no overlap hypotheses restrict the patterns.
-A vectorised Monte Carlo racer provides the empirical cross-check.
+exact automaton oracle, so no overlap hypotheses restrict the patterns;
+the system does need that no pattern occurs inside another.  A vectorised
+Monte Carlo racer provides the empirical cross-check: every trial steps
+one joint matching automaton of all the patterns, whose absorption
+probabilities and time also give the race exactly.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import HypothesisViolationError, NumericalError, ParameterError
 from .mc import EstimateWithCI, estimate_from_samples, map_blocks
 from .patterns import (
     MarkovChain,
     Pattern,
     _as_source,
-    _symbols,
-    _transition_table,
+    _source_automaton,
     automaton_expected_time,
     conditional_expected_time,
 )
@@ -74,8 +77,10 @@ def race_solve(patterns, source, initial_state=None):
     """Solve the first-occurrence race among ``patterns``.
 
     ``initial_state`` supplies the starting chain state for Markov
-    sources.  For two patterns the solution is verified against the
-    closed form
+    sources.  The system needs that no pattern occurs inside another
+    (duplicates included); such a pair raises
+    :class:`HypothesisViolationError`.  For two patterns the solution is
+    verified against the closed form
 
         P_1 = (E[T_2] + E[T_1|2] - E[T_1]) / (E[T_2|1] + E[T_1|2])
         E[T_min] = E[T_2] - E[T_2|1] P_1
@@ -84,15 +89,17 @@ def race_solve(patterns, source, initial_state=None):
     m = len(patterns)
     if m < 2:
         raise ParameterError("a race needs at least two patterns")
+    for inner, outer in permutations([p.symbols for p in patterns], 2):
+        if any(outer[i:i + len(inner)] == inner for i in range(len(outer))):
+            raise HypothesisViolationError(
+                f"pattern {inner} occurs inside pattern {outer}; the race system needs "
+                "patterns none of which contains another (simulate_pattern_race does not)")
     source = _as_source(source)
-    is_markov = isinstance(source, MarkovChain)
-    if is_markov and initial_state is None:
+    if isinstance(source, MarkovChain) and initial_state is None:
         raise ParameterError("Markov races need the initial chain state")
 
-    expected = np.array([
-        automaton_expected_time(p, source, last_symbol=initial_state if is_markov else None)
-        for p in patterns
-    ])
+    expected = np.array([automaton_expected_time(p, source, last_symbol=initial_state)
+                         for p in patterns])
     conditional = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
@@ -171,73 +178,57 @@ def run_race_probability_two_stage(n, m, r, p1, p2):
     return run_race_probability(n, m, p1) * run_race_probability(r, m, p2)
 
 
-def _cumulative(probs):
-    """Cumulative sums along the last axis, the last set to infinity: a draw
-    ``u`` picks the first symbol whose sum exceeds it, else the last symbol."""
-    cum = np.cumsum(probs, axis=-1)
-    cum[..., -1] = np.inf
-    return cum
-
-
 def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None,
                           max_steps=1_000_000, block_size=8192):
     """Monte Carlo race: empirical win probabilities and minimum time.
 
     Trials exceeding ``max_steps`` are counted as truncated and excluded
     from the estimates.  Simulation is vectorised over fixed-size blocks
-    of trials; block b draws from substream b.
+    of trials; block b draws from substream b.  Every trial steps the
+    joint matching automaton of the patterns, whose lowest-indexed
+    pattern wins simultaneous completions.
     """
-    patterns = [_symbols(p) for p in patterns]
+    patterns = [p if isinstance(p, Pattern) else Pattern(tuple(p)) for p in patterns]
+    if not patterns:
+        raise ParameterError("a race needs at least one pattern")
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
     source = _as_source(source)
-    is_markov = isinstance(source, MarkovChain)
-    if is_markov:
+    start_row = 0
+    if isinstance(source, MarkovChain):
         if initial_state is None:
             raise ParameterError("Markov races need the initial chain state")
-        alphabet = source.states
-        cum_rows = _cumulative(source.matrix)
-        start_idx = source.index(initial_state)
-    else:
-        alphabet = source.symbols
-        cum = _cumulative(source.probs)
-    missing = [s for p in patterns for s in p if s not in alphabet]
-    if missing:
-        raise ParameterError(f"pattern symbols {missing} not in source alphabet")
-    tables = [_transition_table(p, alphabet) for p in patterns]
-    lengths = np.array([len(p) for p in patterns])
-    n_pat = len(patterns)
+        start_row = source.index(initial_state)
+    table, law, winner = _source_automaton(
+        [p.symbols for p in patterns], source, (0,) * len(patterns), start_row)
+    # a draw u picks the first symbol whose cumulative probability exceeds
+    # it, else the last: symbol = sum_a [u >= cum[a, state]], a < n_sym - 1
+    n_sym = table.shape[1]
+    cum = np.cumsum(law, axis=1).T[:-1].copy()
+    flat = table.ravel()
 
     def _block(sub, lo, hi):
         gen = sub.generator
-        size = hi - lo
-        states = np.zeros((n_pat, size), dtype=np.int64)
-        last = np.full(size, start_idx, dtype=np.int64) if is_markov else None
-        alive = np.arange(size)
-        winner = np.full(size, -1, dtype=np.int64)
-        steps = np.zeros(size, dtype=np.int64)
+        alive = np.arange(hi - lo)
+        state = np.zeros(alive.size, dtype=np.int64)
+        won = np.full(alive.size, -1, dtype=np.int64)
+        steps = np.zeros(alive.size, dtype=np.int64)
         for step in range(1, max_steps + 1):
             u = gen.random(alive.size)
-            if is_markov:
-                sym = (u[:, None] < cum_rows[last[alive]]).argmax(axis=1)
-                last[alive] = sym
-            else:
-                sym = np.searchsorted(cum, u, side="right")
-            done_any = np.zeros(alive.size, dtype=bool)
-            hit_first = np.full(alive.size, -1, dtype=np.int64)
-            for k in range(n_pat - 1, -1, -1):
-                states[k, alive] = tables[k][states[k, alive], sym]
-                hit = states[k, alive] == lengths[k]
-                hit_first[hit] = k  # lowest index wins simultaneous hits
-                done_any |= hit
-            if done_any.any():
-                finished = alive[done_any]
-                winner[finished] = hit_first[done_any]
+            cell = state * n_sym  # the state's row of ``flat``; the symbol is added
+            for column in cum:
+                cell += u >= column[state]
+            state = flat[cell]
+            hit = winner[state]
+            done = hit >= 0
+            if done.any():
+                finished = alive[done]
+                won[finished] = hit[done]
                 steps[finished] = step
-                alive = alive[~done_any]
+                alive, state = alive[~done], state[~done]
                 if alive.size == 0:
                     break
-        return winner, steps
+        return won, steps
 
     results = map_blocks(_block, n_trials, stream, block_size)
     winner = np.concatenate([w for w, _ in results])
@@ -248,7 +239,7 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
     n_trunc = int(n_trials - n_done)
     if n_done == 0:
         raise NumericalError("every race trial hit the step cap")
-    probs = np.array([(winner == k).sum() / n_done for k in range(n_pat)])
+    probs = np.array([(winner == k).sum() / n_done for k in range(len(patterns))])
     prob_se = np.sqrt(np.maximum(probs * (1 - probs), 0.0) / n_done)
     return SimulatedRace(
         probabilities=probs,
@@ -358,21 +349,20 @@ def alternating_run_race_report(n, m, p, n_trials, stream):
     runs = Pattern((1,) * m + (0,) * m, alphabet=(0, 1))
     source = {0: 1.0 - p, 1: p}
 
-    e_alt = automaton_expected_time(alternating, source)
-    e_runs = automaton_expected_time(runs, source)
-    e_alt_after_runs = conditional_expected_time(alternating, runs, source)
-    e_runs_after_alt = conditional_expected_time(runs, alternating, source)
+    race = race_solve([alternating, runs], source)
+    e_alt, e_runs = race.expected_times
+    e_alt_after_runs = race.conditional_times[0, 1]
+    e_runs_after_alt = race.conditional_times[1, 0]
     closed_p1 = (e_runs + e_alt_after_runs - e_alt) / (e_runs_after_alt + e_alt_after_runs)
     closed_min = e_runs - e_runs_after_alt * closed_p1
 
-    race = race_solve([alternating, runs], source)
     simulated = simulate_pattern_race([alternating, runs], source, n_trials, stream)
     decomposition = conditional_decomposition_probabilities(n, m, p)
 
     return AlternatingRunRaceReport(
         n=n, m=m, p=p,
-        expected_alternating=e_alt,
-        expected_runs=e_runs,
+        expected_alternating=float(e_alt),
+        expected_runs=float(e_runs),
         closed_form_p1=float(closed_p1),
         closed_form_min_time=float(closed_min),
         race=race,

@@ -301,6 +301,29 @@ def test_wrong_typed_numbers_exit_code(tmp_path, capsys, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_contained_patterns_exit_code(tmp_path, capsys):
+    # the race system assumes no pattern occurs inside another; at a fair
+    # coin (0, 1) always wins this race, in 4 symbols on average
+    doc = _with_parameters(RACE_DOC, patterns=[[0, 1], [1, 0, 1, 1]])
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 4
+    assert "occurs inside" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("doc", [
+    _with_parameters(RACE_DOC, patterns=[[2, 2], [0, 0]]),
+    {"kind": "pattern-expect", "seed": 3,
+     "parameters": {"pattern": [2, 2], "closed_form": False,
+                    "source": {"type": "iid", "symbols": [0, 1], "probs": [0.5, 0.5]}}},
+], ids=["pattern-race", "pattern-expect"])
+def test_foreign_pattern_symbol_exit_code(tmp_path, capsys, doc):
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "not in source alphabet" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_step_count_beyond_kernel_bound_exit_code(tmp_path, capsys):
     doc = _with_parameters(SIMULATE_DOC, dt=1e-15)
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])

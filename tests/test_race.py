@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from jumpkit import (
+    IIDSource,
     MarkovChain,
     Pattern,
     alternating_run_race_report,
     automaton_expected_time,
     conditional_decomposition_probabilities,
+    derive_stream,
     race_solve,
     run_race_probability,
     run_race_probability_two_stage,
     simulate_pattern_race,
 )
-from jumpkit.errors import ParameterError
+from jumpkit.errors import HypothesisViolationError, ParameterError
+from jumpkit.patterns import _source_automaton
 from jumpkit.race import REPORTED_REFERENCE_PROBABILITIES
 
 FAIR = {0: 0.5, 1: 0.5}
@@ -169,3 +172,108 @@ def test_showcase_report(stream):
 def test_patterns_accept_pattern_objects():
     result = race_solve([Pattern((1, 1)), Pattern((0, 0))], FAIR)
     assert result.probabilities[0] == pytest.approx(0.5, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the joint automaton as an exact oracle
+
+
+def _automaton_race(patterns, source, initial_state=None):
+    """Win probabilities and E[T_min] as absorption of the joint automaton."""
+    start_row = source.index(initial_state) if isinstance(source, MarkovChain) else 0
+    table, law, winner = _source_automaton(patterns, source, (0,) * len(patterns), start_row)
+    n = len(table)
+    step = np.zeros((n, n))
+    np.add.at(step, (np.arange(n)[:, None], table), law)
+    transient = winner < 0
+    a = np.eye(transient.sum()) - step[np.ix_(transient, transient)]
+    hits = np.stack([step[np.ix_(transient, winner == k)].sum(axis=1)
+                     for k in range(len(patterns))], axis=1)
+    return np.linalg.solve(a, hits)[0], np.linalg.solve(a, np.ones(len(a)))[0]
+
+
+def _random_race(rng):
+    n_sym = int(rng.integers(2, 4))
+    while True:
+        patterns = [tuple(int(v) for v in rng.integers(0, n_sym, int(rng.integers(1, 7))))
+                    for _ in range(int(rng.integers(2, 5)))]
+        if not any(i != j and any(q[k:k + len(p)] == p for k in range(len(q)))
+                   for i, p in enumerate(patterns) for j, q in enumerate(patterns)):
+            break
+    if rng.random() < 0.5:
+        matrix = rng.random((n_sym, n_sym)) + 0.2
+        return patterns, MarkovChain(matrix / matrix.sum(axis=1, keepdims=True)), \
+            int(rng.integers(n_sym))
+    probs = rng.random(n_sym) + 0.2
+    return patterns, IIDSource(symbols=tuple(range(n_sym)), probs=probs / probs.sum()), None
+
+
+def test_race_solve_matches_joint_automaton():
+    rng = np.random.default_rng(606)
+    for _ in range(300):
+        patterns, source, initial_state = _random_race(rng)
+        result = race_solve(patterns, source, initial_state=initial_state)
+        probs, min_time = _automaton_race(patterns, source, initial_state)
+        np.testing.assert_allclose(result.probabilities, probs, rtol=0, atol=1e-10,
+                                   err_msg=str(patterns))
+        assert result.expected_min_time == pytest.approx(min_time, rel=1e-10), patterns
+
+
+@pytest.mark.parametrize("patterns, probs, min_time", [
+    ([(0, 1), (1, 0, 1, 1)], [1.0, 0.0], 4.0),
+    ([(0, 1), (0, 1)], [1.0, 0.0], 4.0),
+], ids=["inside", "duplicate"])
+def test_contained_pattern_race_rejected(patterns, probs, min_time):
+    # the conditional-time system needs that no pattern occurs inside
+    # another; the automaton still gives the true answer
+    with pytest.raises(HypothesisViolationError, match="occurs inside"):
+        race_solve(patterns, FAIR)
+    exact_probs, exact_time = _automaton_race(patterns, IIDSource.from_mapping(FAIR))
+    np.testing.assert_allclose(exact_probs, probs, atol=1e-12)
+    assert exact_time == pytest.approx(min_time, rel=1e-12)
+
+
+@pytest.mark.parametrize("source", [FAIR, MarkovChain([[0.7, 0.3], [0.4, 0.6]])],
+                         ids=["iid", "markov"])
+def test_foreign_pattern_symbol_is_parameter_error(source, stream):
+    with pytest.raises(ParameterError, match="not in source alphabet"):
+        automaton_expected_time((2, 2), source, last_symbol=0)
+    with pytest.raises(ParameterError, match="not in source alphabet"):
+        race_solve([(2, 2), (0, 0)], source, initial_state=0)
+    with pytest.raises(ParameterError, match="not in source alphabet"):
+        simulate_pattern_race([(2, 2), (0, 0)], source, 10, stream, initial_state=0)
+
+
+@pytest.mark.parametrize("patterns", [[(), (1,)], []], ids=["empty-pattern", "no-patterns"])
+def test_simulated_race_rejects_empty_patterns(patterns, stream):
+    with pytest.raises(ParameterError):
+        simulate_pattern_race(patterns, FAIR, 10, stream)
+
+
+# Outputs of the race simulator at fixed seeds.  A change to the symbol
+# draw or to the stepping that moves any Monte Carlo figure fails here.
+PINNED_RACES = {
+    "iid": (dict(patterns=[(1, 0, 1), (0, 1, 1)], source={0: 0.4, 1: 0.6},
+                 n_trials=5000, stream=(61, 0)),
+            [0.5498, 0.4502], 5.4572, 0.038689701609111955, 0),
+    "markov": (dict(patterns=[(1, 1, 0), (0, 0)],
+                    source=MarkovChain([[0.7, 0.3], [0.4, 0.6]]),
+                    n_trials=4000, stream=(62, 0), initial_state=1, max_steps=12),
+               [0.4934673366834171, 0.5065326633165829], 3.728391959798995,
+               0.029561740153969895, 20),
+    "three-symbol": (dict(patterns=[(2, 1), (0, 0, 2), (1, 2, 2)],
+                          source=MarkovChain([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4],
+                                              [0.1, 0.3, 0.6]]),
+                          n_trials=3000, stream=(63, 0), initial_state=0),
+                     [0.6286666666666667, 0.088, 0.2833333333333333], 5.735333333333333,
+                     0.06791309089188928, 0),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RACES)
+def test_pinned_race_draws(name):
+    kwargs, probs, mean, stderr, n_truncated = PINNED_RACES[name]
+    sim = simulate_pattern_race(**{**kwargs, "stream": derive_stream(*kwargs["stream"])})
+    assert sim.probabilities.tolist() == probs
+    assert (sim.min_time.value, sim.min_time.stderr) == (mean, stderr)
+    assert sim.n_truncated == n_truncated
