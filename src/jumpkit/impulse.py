@@ -243,9 +243,16 @@ def affine_intervention_operator(values, x, fixed, proportional):
     lower envelope min_j psi_j + proportional |x_j - x_i| (an L1 distance
     transform): one running minimum of psi - proportional x from the
     left and one of psi + proportional x from the right, O(n) in all.
-    Returns the values only; :func:`minimize_over_targets` is the
-    general search that also returns targets.
+    Returns ``(values, targets)`` like :func:`minimize_over_targets`, the
+    general search, with each target the minimising node; exact ties go
+    to the smallest impulse, as in the dense search.
     """
+    m_vals, pick = _affine_envelope(values, x, fixed, proportional)
+    return m_vals, np.asarray(x, dtype=float)[pick]
+
+
+def _affine_envelope(values, x, fixed, proportional):
+    """:func:`affine_intervention_operator` with target node indices."""
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     if values.ndim != 1 or values.shape != x.shape:
@@ -253,9 +260,19 @@ def affine_intervention_operator(values, x, fixed, proportional):
     if proportional < 0:
         raise ParameterError("proportional intervention cost must be nonnegative")
     slope = proportional * x
-    fwd = np.minimum.accumulate(values - slope) + slope
-    bwd = np.minimum.accumulate((values + slope)[::-1])[::-1] - slope
-    return fixed + np.minimum(fwd, bwd)
+    nodes = np.arange(x.size)
+    # running argmins: the last node where the running minimum was attained
+    # is the winner nearest to each node, from the left and from the right
+    left = values - slope
+    left_min = np.minimum.accumulate(left)
+    left_pick = np.maximum.accumulate(np.where(left == left_min, nodes, 0))
+    right = (values + slope)[::-1]
+    right_min = np.minimum.accumulate(right)
+    right_pick = x.size - 1 - np.maximum.accumulate(np.where(right == right_min, nodes, 0))[::-1]
+    fwd = left_min + slope
+    bwd = right_min[::-1] - slope
+    nearer_right = (fwd > bwd) | ((fwd == bwd) & (x[right_pick] - x < x - x[left_pick]))
+    return fixed + np.minimum(fwd, bwd), np.where(nearer_right, right_pick, left_pick)
 
 
 def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):

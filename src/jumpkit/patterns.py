@@ -356,6 +356,38 @@ def _solve_absorption(a, b):
     return expected
 
 
+def _absorb(table, law, winner, n_winners):
+    """Win probabilities and expected absorption time from state 0.
+
+    The system is solved on the transient states that can reach a winner
+    along transitions of positive probability; the others never finish
+    and would make it singular.  The time is infinite when state 0 can
+    reach one of them.
+    """
+    n = len(table)
+    a = np.eye(n)
+    np.subtract.at(a, (np.arange(n)[:, None], table), law)
+    edge = a != np.eye(n)
+    live, seen = winner >= 0, np.arange(n) == 0
+    for _ in range(n):  # grow both sets to their fixed points
+        grown_live = live | edge[:, live].any(axis=1)
+        grown_seen = seen | edge[seen].any(axis=0)
+        if np.array_equal(grown_live, live) and np.array_equal(grown_seen, seen):
+            break
+        live, seen = grown_live, grown_seen
+    if not live[0]:
+        return np.zeros(n_winners), np.inf
+    solve = live & (winner < 0)
+    hits = np.stack([-a[np.ix_(solve, winner == k)].sum(axis=1) for k in range(n_winners)],
+                    axis=1)
+    a = a[np.ix_(solve, solve)]
+    # state 0 comes first among the solved states
+    probs = _solve_absorption(a, hits)[0]
+    if not np.all(live[seen]):
+        return probs, np.inf
+    return probs, float(_solve_absorption(a, np.ones(len(a)))[0])
+
+
 def _transition_table(pattern, alphabet):
     """delta[j, y]: new matched length after symbol y at matched length j."""
     xs = _symbols(pattern)
@@ -437,11 +469,7 @@ def automaton_expected_time(pattern, source, start_progress=0, last_symbol=None)
         start_row = source.index(xs[start_progress - 1] if start_progress else last_symbol)
 
     table, law, winner = _source_automaton([xs], source, (start_progress,), start_row)
-    a = np.eye(len(table))
-    np.subtract.at(a, (np.arange(len(table))[:, None], table), law)
-    transient = winner < 0
-    expected = _solve_absorption(a[np.ix_(transient, transient)], np.ones(transient.sum()))
-    return float(expected[0])  # the start state
+    return _absorb(table, law, winner, 1)[1]
 
 
 def carryover_progress(target, observed):

@@ -13,19 +13,23 @@ with L0 psi = a x psi' + (sigma^2 / 2) psi'' + lambda ((psi(x+delta)
 drift vanish, so the compensated and plain forms coincide here.
 
 The discrete complementarity problem is solved by Howard policy
-iteration: at each sweep every node enforces whichever branch currently
-has the larger violation, and the resulting mixed linear system is solved
-directly.  The scheme's M-matrix structure makes the iteration monotone;
-the loop stops once the active set is stable and the update is at
-rounding level.
+iteration over pairs (branch, target) at every node.  The obstacle is
+M psi_i = min_j psi_j + c + kappa |x_j - x_i|, so a node that acts is
+the linear row psi_i - psi_j(i) = c + kappa |x_j(i) - x_i| for its best
+target j(i), and a node that continues keeps its row of B.  Each sweep
+lets every node take whichever branch has the larger violation, with
+the current best target, and solves the mixed system directly; it is
+weakly chained diagonally dominant (Azimzadeh & Forsyth, SIAM J. Numer.
+Anal. 2016), the targets of the acting rows leading to rows of B.  The
+loop stops once a sweep repeats the branches and the targets of the
+sweep before and the update is at rounding level.
 
-Each sweep costs O(n) plus one sparse solve.  The obstacle M psi comes
-from :func:`~jumpkit.impulse.affine_intervention_operator`, the L1
-distance transform of the piecewise-linear iterate (the dense search of
-``minimize_over_targets`` gives the same values in O(n^2)), and the mixed
-matrix is B with its action rows masked to identity rows.  The obstacle
-is frozen within a sweep, so the iteration converges linearly and the
-number of sweeps still grows as the grid is refined.
+Each sweep costs O(n) plus one sparse solve.  The obstacle values and
+targets come from :func:`~jumpkit.impulse.affine_intervention_operator`,
+the L1 distance transform of the piecewise-linear iterate (the dense
+search of ``minimize_over_targets`` gives the same values and targets in
+O(n^2)).  The number of sweeps still grows with n: once the band is too
+narrow it widens by about one node per sweep.
 """
 
 from dataclasses import dataclass
@@ -36,7 +40,7 @@ import scipy.sparse.linalg as spla
 
 from .distributions import symmetric_pair
 from .errors import NumericalError, ParameterError
-from .impulse import CandidateValue, ImpulseProblem, affine_intervention_operator
+from .impulse import CandidateValue, ImpulseProblem, _affine_envelope
 from .sde import JumpDiffusionSpec
 
 # Largest grid accepted: one sparse solve of the default problem peaks near
@@ -120,8 +124,9 @@ class BenchmarkSolution:
     sweeps: int
     fd_residual: float
     # one (change, n_active, n_flips) per sweep: the sup-norm update, the
-    # action-set size and the nodes whose branch changed since the sweep
-    # before (the first sweep counts against the all-continuation start)
+    # action-set size and the nodes whose branch or action target changed
+    # since the sweep before (the first sweep counts against the
+    # all-continuation start)
     history: tuple = ()
 
 
@@ -152,12 +157,23 @@ def _assemble_operator(x, params):
     return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
+def _policy_matrix(operator, entry_rows, active, targets):
+    """CSC matrix of one policy: rows of B, and e_i - e_j(i) on action rows."""
+    n = active.size
+    keep = ~active[entry_rows]
+    acting = np.flatnonzero(active)
+    rows = np.concatenate([entry_rows[keep], acting, acting])
+    cols = np.concatenate([operator.indices[keep], acting, targets[acting]])
+    vals = np.concatenate([operator.data[keep], np.ones(acting.size), -np.ones(acting.size)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
     """Policy iteration for the benchmark QVI.
 
     Returns a :class:`BenchmarkSolution` whose candidate passes
     ``qvi_residual`` at the 1e-3 level; raises :class:`NumericalError`
-    if the active set has not stabilised within ``max_sweeps`` sweeps or
+    if the policy has not stabilised within ``max_sweeps`` sweeps or
     the band reaches the jump margin of the grid.
     """
     params = params or BenchmarkParams()
@@ -166,29 +182,33 @@ def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
     x = np.linspace(params.grid_lo, params.grid_hi, n_cells + 1)
     n = x.size
     operator = _assemble_operator(x, params)
+    entry_rows = np.repeat(np.arange(n), np.diff(operator.indptr))
     ell = x**2
     c, kappa = params.fixed_cost, params.proportional_cost
 
     psi = params.uncontrolled_value(x)
     active_prev = np.zeros(n, dtype=bool)
+    targets_prev = np.arange(n)
     history = []
     for sweeps in range(1, max_sweeps + 1):
-        obstacle = affine_intervention_operator(psi, x, c, kappa)
+        obstacle, targets = _affine_envelope(psi, x, c, kappa)
         pde_viol = operator @ psi - ell
         obs_viol = psi - obstacle
         active = obs_viol >= pde_viol
         active[0] = active[-1] = True
 
-        mixed = sp.diags((~active).astype(float)) @ operator + sp.diags(active.astype(float))
-        rhs = np.where(active, obstacle, ell)
-        psi_new = spla.spsolve(sp.csr_matrix(mixed), rhs)
+        rhs = np.where(active, c + kappa * np.abs(x[targets] - x), ell)
+        psi_new = spla.spsolve(_policy_matrix(operator, entry_rows, active, targets), rhs)
+        if not np.all(np.isfinite(psi_new)):
+            raise NumericalError("policy iteration met a singular policy system")
         change = float(np.max(np.abs(psi_new - psi)))
         psi = psi_new
-        n_flips = int(np.count_nonzero(active != active_prev))
+        flipped = (active != active_prev) | (active & (targets != targets_prev))
+        n_flips = int(np.count_nonzero(flipped))
         history.append((change, int(np.count_nonzero(active)), n_flips))
         if sweeps > 1 and n_flips == 0 and change < update_tol:
             break
-        active_prev = active
+        active_prev, targets_prev = active, targets
     else:
         raise NumericalError(f"policy iteration did not settle within {max_sweeps} sweeps")
 
@@ -201,7 +221,7 @@ def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
     if idx[0] <= dj or idx[-1] >= n - 1 - dj:
         raise NumericalError("continuation band reaches the jump margin; widen the grid")
 
-    obstacle = affine_intervention_operator(psi, x, c, kappa)
+    obstacle, _ = _affine_envelope(psi, x, c, kappa)
     fd_defect = np.minimum(ell - operator @ psi, obstacle - psi)
     interior = slice(dj + 1, n - dj - 1)
     fd_residual = float(np.max(np.abs(fd_defect[interior])))

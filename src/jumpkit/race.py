@@ -6,12 +6,13 @@ extra wait for k right after j completes, the race satisfies
     E[T_k] = E[T_min] + sum_{j != k} E[T_k | j] P_j
 
 which, with the probabilities summing to one, is an M x M linear system in
-(P_1, ..., P_{M-1}, E[T_min]).  The waiting times are produced by the
-exact automaton oracle, so no overlap hypotheses restrict the patterns;
-the system does need that no pattern occurs inside another.  A vectorised
-Monte Carlo racer provides the empirical cross-check: every trial steps
-one joint matching automaton of all the patterns, whose absorption
-probabilities and time also give the race exactly.
+(P_1, ..., P_{M-1}, E[T_min]).  The race itself is solved on the joint
+matching automaton of all the patterns, whose absorption probabilities
+and time give it exactly, and the system above, built from the
+automaton oracle's waiting times, checks that solution whenever those
+times are finite; it needs that no pattern occurs inside another.  A
+vectorised Monte Carlo racer, stepping the same joint automaton,
+provides the empirical cross-check.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .mc import EstimateWithCI, estimate_from_samples, map_blocks
 from .patterns import (
     MarkovChain,
     Pattern,
+    _absorb,
     _as_source,
     _source_automaton,
     automaton_expected_time,
@@ -37,6 +39,10 @@ from .patterns import (
 #: disagree with the exact solution; comparison reports quote them next to
 #: the exact and simulated values instead of matching them.
 REPORTED_REFERENCE_PROBABILITIES = (0.7895, 0.7884, 0.7889)
+
+# relative agreement asked of the conditional-time system and the closed
+# form with the joint-automaton solution
+_AGREE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,16 @@ class RaceResult:
     conditional_times: np.ndarray
 
     def validate(self, tol=1e-10):
+        """Raise :class:`NumericalError` unless the solution is a race law."""
         p = self.probabilities
-        assert abs(p.sum() - 1.0) <= tol, "probabilities must sum to 1"
-        assert np.all(p >= -tol) and np.all(p <= 1 + tol)
-        assert self.expected_min_time <= self.expected_times.min() + 1e-9 * (
-            1 + self.expected_times.min()
-        )
+        if not abs(p.sum() - 1.0) <= tol:
+            raise NumericalError(f"race probabilities sum to {float(p.sum())!r}, not 1")
+        if not (np.all(p >= -tol) and np.all(p <= 1 + tol)):
+            raise NumericalError(f"race probabilities {p.tolist()} leave [0, 1]")
+        shortest = float(self.expected_times.min())
+        if not self.expected_min_time <= shortest + 1e-9 * (1 + shortest):
+            raise NumericalError(f"E[T_min] = {self.expected_min_time!r} exceeds the "
+                                 f"shortest solo waiting time {shortest!r}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +87,15 @@ def race_solve(patterns, source, initial_state=None):
     """Solve the first-occurrence race among ``patterns``.
 
     ``initial_state`` supplies the starting chain state for Markov
-    sources.  The system needs that no pattern occurs inside another
+    sources.  The win probabilities and E[T_min] are the absorption law
+    of the joint matching automaton, solved on the states that can still
+    reach a completion, so symbols of probability zero are allowed; a
+    race that can run forever raises :class:`ParameterError`.  The
+    conditional-time system checks the solution whenever every waiting
+    time is finite, and needs that no pattern occurs inside another
     (duplicates included); such a pair raises
     :class:`HypothesisViolationError`.  For two patterns the solution is
-    verified against the closed form
+    also checked against the closed form
 
         P_1 = (E[T_2] + E[T_1|2] - E[T_1]) / (E[T_2|1] + E[T_1|2])
         E[T_min] = E[T_2] - E[T_2|1] P_1
@@ -95,9 +110,16 @@ def race_solve(patterns, source, initial_state=None):
                 f"pattern {inner} occurs inside pattern {outer}; the race system needs "
                 "patterns none of which contains another (simulate_pattern_race does not)")
     source = _as_source(source)
-    if isinstance(source, MarkovChain) and initial_state is None:
-        raise ParameterError("Markov races need the initial chain state")
+    start_row = 0
+    if isinstance(source, MarkovChain):
+        if initial_state is None:
+            raise ParameterError("Markov races need the initial chain state")
+        start_row = source.index(initial_state)
 
+    probs, expected_min = _absorb(*_source_automaton(
+        [p.symbols for p in patterns], source, (0,) * m, start_row), m)
+    if not np.isfinite(expected_min):
+        raise ParameterError("with positive probability no pattern ever occurs")
     expected = np.array([automaton_expected_time(p, source, last_symbol=initial_state)
                          for p in patterns])
     conditional = np.zeros((m, m))
@@ -105,7 +127,22 @@ def race_solve(patterns, source, initial_state=None):
         for j in range(m):
             if i != j:
                 conditional[i, j] = conditional_expected_time(patterns[i], patterns[j], source)
+    if np.all(np.isfinite(expected)) and np.all(np.isfinite(conditional)):
+        _check_against_conditional_system(probs, expected_min, expected, conditional)
 
+    result = RaceResult(
+        probabilities=probs,
+        expected_min_time=expected_min,
+        expected_times=expected,
+        conditional_times=conditional,
+    )
+    result.validate()
+    return result
+
+
+def _check_against_conditional_system(probs, expected_min, expected, conditional):
+    """Raise :class:`NumericalError` unless the M x M system agrees."""
+    m = len(probs)
     # unknowns: (P_1, ..., P_{m-1}, E[T_min]); P_m = 1 - sum of the others
     a = np.zeros((m, m))
     b = np.zeros(m)
@@ -125,30 +162,18 @@ def race_solve(patterns, source, initial_state=None):
         raise NumericalError(f"race system is singular: {exc}") from exc
     if np.max(np.abs(a @ sol - b)) > 1e-10 * max(1.0, np.max(np.abs(b))):
         raise NumericalError("race solve failed its residual check")
-
-    probs = np.empty(m)
-    probs[: m - 1] = sol[: m - 1]
-    probs[m - 1] = 1.0 - sol[: m - 1].sum()
-    expected_min = float(sol[m - 1])
-
+    system = [(sol[k], probs[k]) for k in range(m - 1)] + [(sol[m - 1], expected_min)]
     if m == 2:
         closed_p1 = (expected[1] + conditional[0, 1] - expected[0]) / (
             conditional[1, 0] + conditional[0, 1]
         )
-        closed_min = expected[1] - conditional[1, 0] * closed_p1
-        if abs(closed_p1 - probs[0]) > 1e-10 * max(1.0, abs(closed_p1)) or abs(
-            closed_min - expected_min
-        ) > 1e-10 * max(1.0, abs(closed_min)):
-            raise NumericalError("race solution disagrees with the two-pattern closed form")
-
-    result = RaceResult(
-        probabilities=probs,
-        expected_min_time=expected_min,
-        expected_times=expected,
-        conditional_times=conditional,
-    )
-    result.validate()
-    return result
+        system += [(closed_p1, probs[0]),
+                   (expected[1] - conditional[1, 0] * closed_p1, expected_min)]
+    for check, value in system:
+        if abs(check - value) > _AGREE * max(1.0, abs(value)):
+            raise NumericalError(
+                f"race solution {float(value)!r} disagrees with the conditional system "
+                f"({float(check)!r})")
 
 
 def run_race_probability(n, m, p):

@@ -311,6 +311,17 @@ def test_contained_patterns_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_race_with_a_symbol_of_probability_zero_exit_code(tmp_path):
+    # (1, 1) never occurs: its solo waiting time is infinite and (0, 0)
+    # wins at the second symbol
+    source = {"type": "iid", "symbols": [0, 1], "probs": [1.0, 0.0]}
+    doc = _with_parameters(RACE_DOC, source=source, n_trials=100)
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "pattern_race.csv").read_text().splitlines()
+    assert {"P_2,1,0,0", "E_T_min,2,0,0", "E_T_1,inf,0,0", "mc_E_T_min,2,0,100"} <= set(lines)
+
+
 @pytest.mark.parametrize("doc", [
     _with_parameters(RACE_DOC, patterns=[[2, 2], [0, 0]]),
     {"kind": "pattern-expect", "seed": 3,

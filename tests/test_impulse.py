@@ -106,11 +106,30 @@ def test_affine_operator_matches_dense_search(grid, fixed, proportional):
         else:
             x = np.sort(rng.uniform(-3.0, 3.0, n))
         values = rng.normal(size=n) + x**2
-        dense, _ = minimize_over_targets(
+        dense, dense_targets = minimize_over_targets(
             lambda w: np.interp(w, x, values),
             lambda y, z: fixed + proportional * np.abs(z), x, x)
-        fast = affine_intervention_operator(values, x, fixed, proportional)
+        fast, targets = affine_intervention_operator(values, x, fixed, proportional)
         np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(targets, dense_targets)
+
+
+@pytest.mark.parametrize("proportional", [0.0, 1.0, 2.0])
+def test_affine_operator_targets_break_ties_like_dense_search(proportional):
+    # small integers on integer nodes make many exact ties, which both
+    # searches must give to the smallest impulse
+    rng = np.random.default_rng(23)
+    for n in (2, 7, 30):
+        x = np.cumsum(rng.integers(1, 3, n)).astype(float) - 10.0
+        values = rng.integers(0, 4, n).astype(float)
+        dense, dense_targets = minimize_over_targets(
+            lambda w: np.interp(w, x, values),
+            lambda y, z: 1.0 + proportional * np.abs(z), x, x)
+        fast, targets = affine_intervention_operator(values, x, 1.0, proportional)
+        np.testing.assert_array_equal(fast, dense)
+        np.testing.assert_array_equal(targets, dense_targets)
+    flat, targets = affine_intervention_operator(np.zeros(5), x[:5], 1.0, proportional)
+    np.testing.assert_array_equal(targets, x[:5])  # every node ties with staying put
 
 
 def test_affine_operator_rejects_bad_input():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from jumpkit import (
     BenchmarkParams,
@@ -11,7 +13,12 @@ from jumpkit import (
     verify_value,
 )
 from jumpkit.errors import ParameterError
-from jumpkit.impulse import CandidateValue, ImpulsePolicy, minimize_over_targets
+from jumpkit.impulse import (
+    CandidateValue,
+    ImpulsePolicy,
+    affine_intervention_operator,
+    minimize_over_targets,
+)
 from jumpkit.qvi import _assemble_operator
 
 
@@ -74,6 +81,59 @@ def test_history_records_every_sweep(solution):
     assert change < 1e-9 and n_flips == 0
     assert history[0][1] == history[0][2]  # the first sweep flips from all-continuation
     assert all(0 < active < n for _, active, _ in history)
+
+
+def test_history_counts_what_the_stopping_rule_sees(solution):
+    # a sweep that repeats the branches and the targets of the sweep before
+    # solves the same system again, so only the last sweep flips nothing
+    flips = [n_flips for _, _, n_flips in solution.history]
+    assert flips[-1] == 0 and min(flips[:-1]) > 0
+
+
+def _frozen_obstacle_solve(params, max_sweeps=200):
+    """Reference loop: M psi frozen within each sweep, action rows pinned to it.
+
+    Converges linearly to the same discrete QVI solution; returns psi and
+    the continuation nodes.
+    """
+    x = np.linspace(params.grid_lo, params.grid_hi,
+                    int(round((params.grid_hi - params.grid_lo) / params.grid_step)) + 1)
+    operator = _assemble_operator(x, params)
+    c, kappa = params.fixed_cost, params.proportional_cost
+    psi = params.uncontrolled_value(x)
+    active_prev = np.zeros(x.size, dtype=bool)
+    for sweep in range(1, max_sweeps + 1):
+        obstacle, _ = affine_intervention_operator(psi, x, c, kappa)
+        active = psi - obstacle >= operator @ psi - x**2
+        active[0] = active[-1] = True
+        mixed = sp.diags((~active).astype(float)) @ operator + sp.diags(active.astype(float))
+        psi_new = spla.spsolve(sp.csc_matrix(mixed), np.where(active, obstacle, x**2))
+        change = float(np.max(np.abs(psi_new - psi)))
+        psi = psi_new
+        if sweep > 1 and np.array_equal(active, active_prev) and change < 1e-9:
+            return psi, ~active
+        active_prev = active
+    raise AssertionError("reference loop did not settle")
+
+
+@pytest.mark.parametrize("h", [0.01, 0.005])
+def test_policy_iteration_matches_frozen_obstacle_loop(h):
+    params = BenchmarkParams(grid_step=h)
+    sol = solve_benchmark_qvi(params)
+    psi, continuation = _frozen_obstacle_solve(params)
+    np.testing.assert_allclose(sol.candidate.values, psi, rtol=0.0, atol=1e-8)
+    x = sol.candidate.x
+    assert sol.band == (x[continuation][0], x[continuation][-1])
+    assert sol.sweeps < 20
+
+
+def test_fine_grid_settles_within_default_sweeps():
+    # h = 0.000625 (19201 nodes) took 309 frozen-obstacle sweeps, past the
+    # default cap of 200
+    sol = solve_benchmark_qvi(BenchmarkParams(grid_step=0.000625))
+    assert sol.sweeps < 200
+    assert sol.fd_residual <= 1e-3
+    assert sol.band[1] == pytest.approx(1.595625, abs=0.01)
 
 
 def test_converged_iterate_is_a_fixed_point_of_the_dense_operator():

@@ -14,9 +14,9 @@ from jumpkit import (
     run_race_probability_two_stage,
     simulate_pattern_race,
 )
-from jumpkit.errors import HypothesisViolationError, ParameterError
+from jumpkit.errors import HypothesisViolationError, NumericalError, ParameterError
 from jumpkit.patterns import _source_automaton
-from jumpkit.race import REPORTED_REFERENCE_PROBABILITIES
+from jumpkit.race import REPORTED_REFERENCE_PROBABILITIES, RaceResult
 
 FAIR = {0: 0.5, 1: 0.5}
 
@@ -55,6 +55,35 @@ def test_three_pattern_race_vs_simulation(stream):
         se = max(sim.prob_stderr[k], 1e-9)
         assert abs(result.probabilities[k] - sim.probabilities[k]) <= 3.5 * se
     assert abs(result.expected_min_time - sim.min_time.value) <= 3.5 * sim.min_time.stderr
+
+
+def test_race_with_a_symbol_of_probability_zero(stream):
+    # (1, 1) can never occur, so (0, 0) wins at the second symbol
+    source = {0: 1.0, 1: 0.0}
+    result = race_solve([(1, 1), (0, 0)], source)
+    assert result.probabilities.tolist() == [0.0, 1.0]
+    assert result.expected_min_time == 2.0
+    assert result.expected_times.tolist() == [np.inf, 2.0]
+    sim = simulate_pattern_race([(1, 1), (0, 0)], source, 500, stream)
+    assert sim.probabilities.tolist() == result.probabilities.tolist()
+    assert sim.min_time.value == result.expected_min_time and sim.n_truncated == 0
+
+
+def test_race_that_may_never_end_is_rejected():
+    with pytest.raises(ParameterError, match="no pattern ever occurs"):
+        race_solve([(1, 1), (1, 0)], {0: 1.0, 1: 0.0})
+
+
+@pytest.mark.parametrize("probabilities, min_time", [
+    ([0.7, 0.7], 3.0),
+    ([1.2, -0.2], 3.0),
+    ([0.5, 0.5], 7.0),
+], ids=["sum", "range", "min-time"])
+def test_race_result_validate_raises_numerical_error(probabilities, min_time):
+    bad = RaceResult(probabilities=np.array(probabilities), expected_min_time=min_time,
+                     expected_times=np.array([6.0, 6.0]), conditional_times=np.zeros((2, 2)))
+    with pytest.raises(NumericalError):
+        bad.validate()
 
 
 def test_race_needs_two_patterns():
