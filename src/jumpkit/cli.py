@@ -8,7 +8,9 @@ details, so a rerun with the same config and seed is byte-identical.
 and change nothing.  ``n_paths`` and ``n_trials`` must be integers no
 larger than ``MAX_COUNT``; work beyond the library's size bounds
 (``MAX_STEPS``, ``MAX_ARRIVALS``, ``MAX_NODES``, ``MAX_GRID_NODES``) is
-a configuration error too.
+a configuration error too.  ``MAX_ARRIVALS`` bounds the expected
+arrivals of one renewal path and, for ``simulate``, the expected jumps
+``jump_intensity * horizon`` of the path.
 
 One scenario per config file.  ``kind`` selects the computation:
 

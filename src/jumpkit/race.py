@@ -100,7 +100,7 @@ def race_solve(patterns, source, initial_state=None):
         P_1 = (E[T_2] + E[T_1|2] - E[T_1]) / (E[T_2|1] + E[T_1|2])
         E[T_min] = E[T_2] - E[T_2|1] P_1
     """
-    patterns = [p if isinstance(p, Pattern) else Pattern(tuple(p)) for p in patterns]
+    patterns, source, automaton = _race_automaton(patterns, source, initial_state)
     m = len(patterns)
     if m < 2:
         raise ParameterError("a race needs at least two patterns")
@@ -109,15 +109,8 @@ def race_solve(patterns, source, initial_state=None):
             raise HypothesisViolationError(
                 f"pattern {inner} occurs inside pattern {outer}; the race system needs "
                 "patterns none of which contains another (simulate_pattern_race does not)")
-    source = _as_source(source)
-    start_row = 0
-    if isinstance(source, MarkovChain):
-        if initial_state is None:
-            raise ParameterError("Markov races need the initial chain state")
-        start_row = source.index(initial_state)
 
-    probs, expected_min = _absorb(*_source_automaton(
-        [p.symbols for p in patterns], source, (0,) * m, start_row), m)
+    probs, expected_min = _absorb(*automaton, m)
     if not np.isfinite(expected_min):
         raise ParameterError("with positive probability no pattern ever occurs")
     expected = np.array([automaton_expected_time(p, source, last_symbol=initial_state)
@@ -138,6 +131,20 @@ def race_solve(patterns, source, initial_state=None):
     )
     result.validate()
     return result
+
+
+def _race_automaton(patterns, source, initial_state):
+    """The race's patterns and source, and their joint automaton started afresh."""
+    patterns = [p if isinstance(p, Pattern) else Pattern(tuple(p)) for p in patterns]
+    source = _as_source(source)
+    start_row = 0
+    if isinstance(source, MarkovChain):
+        if initial_state is None:
+            raise ParameterError("Markov races need the initial chain state")
+        start_row = source.index(initial_state)
+    automaton = _source_automaton([p.symbols for p in patterns], source,
+                                  (0,) * len(patterns), start_row)
+    return patterns, source, automaton
 
 
 def _check_against_conditional_system(probs, expected_min, expected, conditional):
@@ -213,19 +220,11 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
     joint matching automaton of the patterns, whose lowest-indexed
     pattern wins simultaneous completions.
     """
-    patterns = [p if isinstance(p, Pattern) else Pattern(tuple(p)) for p in patterns]
-    if not patterns:
-        raise ParameterError("a race needs at least one pattern")
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
-    source = _as_source(source)
-    start_row = 0
-    if isinstance(source, MarkovChain):
-        if initial_state is None:
-            raise ParameterError("Markov races need the initial chain state")
-        start_row = source.index(initial_state)
-    table, law, winner = _source_automaton(
-        [p.symbols for p in patterns], source, (0,) * len(patterns), start_row)
+    patterns, _, (table, law, winner) = _race_automaton(patterns, source, initial_state)
+    if not patterns:
+        raise ParameterError("a race needs at least one pattern")
     # a draw u picks the first symbol whose cumulative probability exceeds
     # it, else the last: symbol = sum_a [u >= cum[a, state]], a < n_sym - 1
     n_sym = table.shape[1]

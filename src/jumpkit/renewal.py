@@ -7,6 +7,11 @@ the convention that "t -> infinity" results are asserted only at the
 largest of a short convergence ladder; the operations take whatever ``t``
 the caller fixes.
 
+Renewal paths come from one sampler, ``jumpkit.sde._arrival_times``, which
+also draws the Poisson jump schedules (renewal sequences with exponential
+gaps); only the regenerative and random-walk estimators, which draw cycles
+and signed steps rather than gaps, loop on their own.
+
 Whether interarrivals are lattice is *declared* on the
 :class:`RenewalSpec`, never inferred from samples: finite samples cannot
 settle the question.
@@ -18,9 +23,7 @@ import numpy as np
 
 from .errors import DistributionError, HypothesisViolationError, ParameterError
 from .mc import estimate_from_samples, replicate
-from .sde import MAX_STEPS
-
-MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
+from .sde import MAX_ARRIVALS, _arrival_times, _check_arrivals  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -78,19 +81,6 @@ class RegenerativeSpec:
         return float(m[state] / m.sum())
 
 
-def _check_arrivals(span, mean):
-    """Refuse, before any draw, a path expecting over ``MAX_ARRIVALS`` arrivals (or NaN)."""
-    if not span / mean <= MAX_ARRIVALS:
-        raise ParameterError(f"{span / mean:.3g} arrivals per path, more than MAX_ARRIVALS")
-
-
-def _draw_gaps(gen, dist, count):
-    gaps = np.asarray(dist.sample(gen, count), dtype=float)
-    if np.any(gaps <= 0):
-        raise DistributionError("interarrival sampler produced a non-positive value")
-    return gaps
-
-
 def simulate_renewal(spec, horizon, stream):
     """Arrival times of one renewal path on ``(0, horizon]``.
 
@@ -99,26 +89,15 @@ def simulate_renewal(spec, horizon, stream):
     """
     if horizon <= 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    _check_arrivals(horizon, spec.mean)
     gen = stream.generator
-    arrivals = []
-    total = 0.0
-    if spec.delay is not None:
-        first = float(_draw_gaps(gen, spec.delay, 1)[0])
-        total = first
-        if total > horizon:
-            return np.empty(0)
-        arrivals.append(np.array([total]))
-    chunk = max(8, int(1.5 * (horizon - total) / spec.mean) + 1)
-    while True:
-        gaps = _draw_gaps(gen, spec.interarrival, chunk)
-        times = total + np.cumsum(gaps)
-        inside = times[times <= horizon]
-        arrivals.append(inside)
-        if inside.size < times.size:
-            break
-        total = times[-1]
-    return np.concatenate(arrivals)
+    if spec.delay is None:
+        return _arrival_times(gen, spec.interarrival, horizon)[:-1]
+    first = float(np.asarray(spec.delay.sample(gen, 1), dtype=float)[0])
+    if not first > 0:
+        raise DistributionError("delay sampler produced a delay that is not positive")
+    if first > horizon:
+        return np.empty(0)
+    return np.append(first, _arrival_times(gen, spec.interarrival, horizon, first)[:-1])
 
 
 def estimate_mean_process(spec, t, n_paths, stream):
@@ -172,18 +151,11 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
         n_epoch = max(1, int(round(t / c)))
 
         def _one(sub, _i):
-            gaps_units = []
-            total = 0
-            chunk = max(8, int(1.5 * n_epoch * c / mu) + 1)
-            while total <= n_epoch:
-                g = _draw_gaps(sub.generator, spec.interarrival, chunk) / c
-                gi = np.round(g).astype(np.int64)
-                if np.max(np.abs(g - gi)) > 1e-9:
-                    raise DistributionError("lattice sampler produced an off-lattice gap")
-                gaps_units.append(gi)
-                total += int(gi.sum())
-            arr = np.cumsum(np.concatenate(gaps_units))
-            return np.count_nonzero(arr == n_epoch)
+            units = _arrival_times(sub.generator, spec.interarrival, n_epoch * c) / c
+            epochs = np.rint(units)
+            if np.abs(units - epochs).max() > 1e-9 * units[-1]:
+                raise DistributionError("lattice sampler produced an off-lattice gap")
+            return np.count_nonzero(epochs == n_epoch)
 
         limit = c / mu
 
@@ -213,8 +185,9 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
                 steps = np.asarray(spec.interarrival.sample(gen, 256), dtype=float)
                 pos = s + np.cumsum(steps)
                 visits += np.count_nonzero((pos > t) & (pos <= hi))
-                for v in pos:
-                    above = above + 1 if v > bound else 0
+                # the run of positions over the bound at the end of the walk so far
+                below = np.flatnonzero(~(pos > bound))
+                above = above + pos.size if below.size == 0 else pos.size - 1 - below[-1]
                 s = pos[-1]
             return visits
 
@@ -236,21 +209,10 @@ def wald_check(spec, t, n_paths, stream):
     if t <= 0:
         raise ParameterError("t must be positive")
     mu = spec.mean
-    _check_arrivals(t, mu)
 
     def _one(sub, _i):
-        gen = sub.generator
-        total = 0.0
-        count = 0
-        while True:
-            gaps = _draw_gaps(gen, spec.interarrival, max(8, int(1.5 * (t - total) / mu) + 1))
-            times = total + np.cumsum(gaps)
-            beyond = np.searchsorted(times, t, side="right")
-            if beyond < times.size:
-                count += beyond + 1
-                return (times[beyond], float(count) * mu)
-            count += times.size
-            total = times[-1]
+        times = _arrival_times(sub.generator, spec.interarrival, t)
+        return (times[-1], times.size * mu)
 
     pairs = replicate(_one, n_paths, stream)
     return estimate_from_samples(pairs[:, 0]), estimate_from_samples(pairs[:, 1])

@@ -10,6 +10,11 @@ where N is a compound Poisson random measure with finite intensity
 measure, which shifts the effective drift by minus
 ``jump_intensity * E[xi(t, x, z)]``.
 
+The jump times are the renewal sequence of Exponential(jump_intensity)
+gaps: ``_arrival_times``, the one sampler of renewal arrivals in the
+package (:mod:`jumpkit.renewal` draws its paths with it too), draws them
+and refuses a path expecting more than ``MAX_ARRIVALS`` arrivals.
+
 Simulation is Euler-Maruyama on a uniform grid refined to include every
 jump time exactly, so jump placement carries no O(dt) bias.  One kernel
 steps every path in the package.  It steps a list of lanes, each a
@@ -35,11 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import expectation
-from .errors import ChatteringError, NumericalBlowupError, NumericalError, ParameterError
+from .distributions import Exponential, expectation
+from .errors import (ChatteringError, DistributionError, NumericalBlowupError, NumericalError,
+                     ParameterError)
 
 BLOWUP_THRESHOLD = 1e12
 MAX_STEPS = 10_000_000  # grid steps per simulation; more raise ParameterError
+MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
 _MAX_RUN_PATHS = 1 << 16  # paths stepped together by one run of the kernel
 
 
@@ -166,23 +173,39 @@ def in_intervals(x, lo, hi):
     return inside
 
 
-def _sample_jump_schedule(gen, intensity, mark_distribution, horizon):
-    """Generator-level jump schedule: exact exponential interarrivals."""
-    if intensity == 0:
-        return np.empty(0), np.empty(0)
-    scale = 1.0 / intensity
-    chunk = max(8, int(1.5 * intensity * horizon) + 1)
-    times = []
-    total = 0.0
+def _check_arrivals(span, mean):
+    """Refuse, before any draw, a path expecting over ``MAX_ARRIVALS`` arrivals (or NaN)."""
+    if not span / mean <= MAX_ARRIVALS:
+        raise ParameterError(f"{span / mean:.3g} arrivals per path, more than MAX_ARRIVALS")
+
+
+def _arrival_times(gen, law, horizon, start=0.0):
+    """Arrivals ``start + S_k`` up to and including the first past ``horizon``.
+
+    ``S_k`` sums the first k gaps of ``law``, drawn in chunks of 1.5 times
+    the expected count; a gap that is not positive raises
+    :class:`DistributionError`.
+    """
+    _check_arrivals(horizon - start, law.mean)
+    chunk = max(8, int(1.5 * (horizon - start) / law.mean) + 1)
+    parts = []
     while True:
-        gaps = gen.exponential(scale, size=chunk)
-        arrivals = total + np.cumsum(gaps)
-        inside = arrivals[arrivals <= horizon]
-        times.append(inside)
-        if inside.size < arrivals.size:
-            break
-        total = arrivals[-1]
-    times = np.concatenate(times)
+        gaps = np.asarray(law.sample(gen, chunk), dtype=float)
+        if not gaps.min() > 0:
+            raise DistributionError("interarrival sampler produced a gap that is not positive")
+        times = start + gaps.cumsum()
+        if times[-1] > horizon:
+            parts.append(times[:times.searchsorted(horizon, "right") + 1])
+            return np.concatenate(parts)
+        parts.append(times)
+        start = times[-1]
+
+
+def _sample_jump_schedule(gen, law, mark_distribution, horizon):
+    """Jump times on ``(0, horizon]`` with Exponential ``law`` gaps (None: none), and marks."""
+    if law is None:
+        return np.empty(0), np.empty(0)
+    times = _arrival_times(gen, law, horizon)[:-1]
     marks = np.asarray(mark_distribution.sample(gen, times.size), dtype=float)
     return times, marks
 
@@ -191,13 +214,15 @@ def sample_jump_times(stream, intensity, mark_distribution, horizon):
     """Draw exact Poisson jump times on ``(0, horizon]`` with iid marks.
 
     Returns ``(times, marks)`` as float arrays; both are empty when the
-    intensity is zero.
+    intensity is zero.  More than ``MAX_ARRIVALS`` expected jumps raise
+    :class:`ParameterError` before anything is drawn.
     """
-    if intensity < 0:
+    if not intensity >= 0:
         raise ParameterError(f"intensity must be nonnegative, got {intensity}")
     if horizon <= 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    return _sample_jump_schedule(stream.generator, intensity, mark_distribution, horizon)
+    law = Exponential(intensity) if intensity > 0 else None
+    return _sample_jump_schedule(stream.generator, law, mark_distribution, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +335,8 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
     lane_of = np.repeat(np.arange(n_lanes), sizes)
     spans = list(zip(gens, starts.tolist(), (starts + sizes).tolist()))
 
-    schedules = [_sample_jump_schedule(gen, spec.jump_intensity, spec.mark_distribution, ends[-1])
+    law = Exponential(spec.jump_intensity) if spec.jump_intensity > 0 else None
+    schedules = [_sample_jump_schedule(gen, law, spec.mark_distribution, ends[-1])
                  for gen, n, _ in lanes for _ in range(n)]
     n_jumps = np.array([times.size for times, _ in schedules], dtype=np.int64)
     jump_t, jump_z = (np.concatenate(parts) for parts in zip(*schedules))

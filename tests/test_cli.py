@@ -404,18 +404,24 @@ def test_bad_qvi_grid_exit_code(tmp_path, capsys, grid, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("changes, message", [
-    ({"t": 1e300}, "MAX_ARRIVALS"),
-    ({"check": "wald", "t": 1e300}, "MAX_ARRIVALS"),
-    ({"check": "blackwell", "mode": "random_walk", "t": 1e300, "a": 1.0}, "MAX_ARRIVALS"),
-    ({"check": "regenerative", "rates": [1.0, 2.0], "state": 0, "horizon": 1e300},
+@pytest.mark.parametrize("doc, message", [
+    (_with_parameters(RENEWAL_DOC, t=1e300), "MAX_ARRIVALS"),
+    (_with_parameters(RENEWAL_DOC, check="wald", t=1e300), "MAX_ARRIVALS"),
+    (_with_parameters(RENEWAL_DOC, check="blackwell", mode="random_walk", t=1e300, a=1.0),
      "MAX_ARRIVALS"),
-    ({"check": "renewal-equation", "t_max": 1e12, "step": 1e-3}, "MAX_NODES"),
-    ({"check": "last-renewal-cdf", "t": 1.0, "s": 0.5, "step": 0}, "delta must be positive"),
+    (_with_parameters(RENEWAL_DOC, check="regenerative", rates=[1.0, 2.0], state=0,
+                      horizon=1e300), "MAX_ARRIVALS"),
+    (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=1e12, step=1e-3),
+     "MAX_NODES"),
+    (_with_parameters(RENEWAL_DOC, check="last-renewal-cdf", t=1.0, s=0.5, step=0),
+     "delta must be positive"),
+    # the Poisson jump schedule is a renewal sequence and shares its bound
+    (_with_parameters(SIMULATE_DOC, jump_intensity=1e15,
+                      marks={"type": "discrete", "values": [1.0], "probs": [1.0]}),
+     "MAX_ARRIVALS"),
 ], ids=["mean-process", "wald", "blackwell-random-walk", "regenerative", "renewal-equation",
-        "last-renewal-cdf-step-zero"])
-def test_oversized_renewal_work_exit_code(tmp_path, capsys, changes, message):
-    doc = _with_parameters(RENEWAL_DOC, **changes)
+        "last-renewal-cdf-step-zero", "simulate-jump-intensity"])
+def test_oversized_renewal_work_exit_code(tmp_path, capsys, doc, message):
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err

@@ -11,13 +11,14 @@ from jumpkit import (
     bernoulli,
     blackwell_check,
     delayed_renewal_stats,
+    derive_stream,
     estimate_mean_process,
     regenerative_occupancy,
     reward_rate_check,
     simulate_renewal,
     wald_check,
 )
-from jumpkit.errors import HypothesisViolationError, ParameterError
+from jumpkit.errors import DistributionError, HypothesisViolationError, ParameterError
 
 
 def within(est, target, k=3.0, slack=0.0):
@@ -52,8 +53,6 @@ def test_simulate_rejects_nonpositive_gaps(stream):
 
         def sample(self, gen, size=None):
             return np.zeros(size if size is not None else 1)
-
-    from jumpkit.errors import DistributionError
 
     with pytest.raises(DistributionError):
         simulate_renewal(RenewalSpec(interarrival=Degenerate()), 5.0, stream)
@@ -285,3 +284,50 @@ def test_oversized_paths_refused(stream, run):
     # 1e300 / mean arrivals per path would be drawn in one chunk; refuse first
     with pytest.raises(ParameterError, match="MAX_ARRIVALS"):
         run(stream)
+
+
+def test_lattice_mode_refuses_off_lattice_gaps(stream):
+    # a law without declared support is only checked on its draws
+    spec = RenewalSpec(interarrival=Uniform(0.5, 1.5), lattice_period=1.0)
+    with pytest.raises(DistributionError, match="off-lattice"):
+        blackwell_check(spec, 10.0, 1.0, "lattice", 5, stream)
+
+
+# 17-digit outputs of the per-estimator arrival loops that one sampler
+# replaced; the shared sampler must reproduce them bit for bit
+
+
+def test_pinned_wald_check():
+    lhs, rhs = wald_check(RenewalSpec(interarrival=Uniform(0.0, 1.0)), 20.0, 400,
+                          derive_stream(71, 0))
+    assert (lhs.value, lhs.stderr) == (20.324268848908247, 0.011582667793209489)
+    assert (rhs.value, rhs.stderr) == (20.355, 0.09464317633653083)
+
+
+@pytest.mark.parametrize("spec, t, stream_index, expected", [
+    (LATTICE, 30.0, 72, (0.6825, 0.023304336619246597, 0.6666666666666666)),
+    (RenewalSpec(interarrival=Discrete([0.1, 0.3, 0.7], [0.2, 0.5, 0.3]), lattice_period=0.1),
+     5.0, 73, (0.285, 0.022598988599366248, 0.26315789473684215)),
+], ids=["period-1", "period-0.1"])
+def test_pinned_lattice_mode(spec, t, stream_index, expected):
+    est, limit = blackwell_check(spec, t, 1.0, "lattice", 400, derive_stream(stream_index, 0))
+    assert (est.value, est.stderr, limit) == expected
+
+
+@pytest.mark.parametrize("law, t, stream_index, expected", [
+    (Uniform(-1.0, 3.0), 20.0, 74, (0.935, 0.06614948048809016, 1.0)),
+    # a wide, slowly drifting walk recrosses the bound, so where the run of
+    # positions above it is counted from changes the stopping chunk
+    (Uniform(-10.0, 10.4), 5.0, 76, (3.25, 0.24410126410094313, 4.999999999999996)),
+], ids=["narrow", "wide"])
+def test_pinned_random_walk_mode(law, t, stream_index, expected):
+    est, limit = blackwell_check(RenewalSpec(interarrival=law), t, 1.0, "random_walk", 200,
+                                 derive_stream(stream_index, 0))
+    assert (est.value, est.stderr, limit) == expected
+
+
+def test_pinned_delayed_renewal_path():
+    spec = RenewalSpec(interarrival=Uniform(0.0, 2.0), delay=Exponential(0.5))
+    assert simulate_renewal(spec, 6.0, derive_stream(75, 0)).tolist() == [
+        1.0439865511899613, 2.018482112500988, 2.694546062274344, 3.3858530361582844,
+        3.891532505658935, 4.724516252017008, 4.85196098578084]

@@ -3,11 +3,15 @@ import pytest
 
 from jumpkit import (
     Discrete,
+    Exponential,
     JumpDiffusionSpec,
     NumericalBlowupError,
     ParameterError,
+    RenewalSpec,
+    derive_stream,
     sample_jump_times,
     simulate_jump_diffusion,
+    simulate_renewal,
     symmetric_pair,
 )
 
@@ -41,6 +45,20 @@ def test_sample_jump_times_bad_params(stream):
         sample_jump_times(stream, -1.0, None, 1.0)
     with pytest.raises(ParameterError):
         sample_jump_times(stream, 1.0, symmetric_pair(1.0), -2.0)
+
+
+def test_sample_jump_times_refuses_oversized_schedule(stream):
+    # 1e15 expected jumps would be drawn in one chunk; refuse before drawing
+    with pytest.raises(ParameterError, match="MAX_ARRIVALS"):
+        sample_jump_times(stream, 1e15, symmetric_pair(1.0), 1.0)
+
+
+@pytest.mark.parametrize("lam, horizon", [(0.8, 12.0), (2.5, 1.0), (1.0, 100.0)])
+def test_jump_times_are_a_poisson_renewal_path(lam, horizon):
+    # the jump schedule is the renewal sequence of Exponential(lam) gaps
+    times, _ = sample_jump_times(derive_stream(31, 0), lam, symmetric_pair(1.0), horizon)
+    arrivals = simulate_renewal(RenewalSpec(Exponential(lam)), horizon, derive_stream(31, 0))
+    assert np.array_equal(times, arrivals)
 
 
 def test_constant_path(stream):
