@@ -166,7 +166,7 @@ def _make_coefficient(doc, ctx):
     kind = _require(doc, "type", str, ctx)
     if kind == "constant":
         v = _require_number(doc, "value", ctx)
-        return lambda t, x: v * np.ones_like(np.asarray(x, dtype=float))
+        return lambda t, x: np.full(np.shape(x), v, dtype=float)
     if kind == "linear":
         a = _require_number(doc, "rate", ctx)
         return lambda t, x: a * np.asarray(x, dtype=float)

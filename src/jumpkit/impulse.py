@@ -35,7 +35,6 @@ every cost estimate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .calculus import ScalarField, generator_apply
 from .errors import DegeneratePolicyError, NumericalError, ParameterError
@@ -98,6 +97,8 @@ class CandidateValue:
             raise ParameterError("grid must be strictly increasing")
         if np.any(self.values < -1e-12):
             raise ParameterError("candidate values must be nonnegative")
+        from scipy.interpolate import CubicSpline  # deferred: most runs never build one
+
         self._spline = CubicSpline(self.x, self.values)
         self._deriv = self._spline.derivative()
         self._slope_lo = float(self._deriv(self.x[0]))

@@ -99,7 +99,7 @@ def make_benchmark_problem(params):
     sigma = params.sigma
     dynamics = JumpDiffusionSpec(
         drift=lambda t, x: a * x,
-        diffusion=lambda t, x: sigma * np.ones_like(np.asarray(x, dtype=float)),
+        diffusion=lambda t, x: np.full(np.shape(x), sigma, dtype=float),
         jump_intensity=params.jump_intensity,
         mark_distribution=symmetric_pair(params.jump_size),
         compensated=True,

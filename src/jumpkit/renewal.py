@@ -184,6 +184,9 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
             while above < 50:
                 steps = np.asarray(spec.interarrival.sample(gen, 256), dtype=float)
                 pos = s + np.cumsum(steps)
+                if not np.isfinite(pos[-1]):  # NaN is never over the bound: the walk would not end
+                    raise DistributionError("random-walk step sampler produced a step that is "
+                                            "not finite")
                 visits += np.count_nonzero((pos > t) & (pos <= hi))
                 # the run of positions over the bound at the end of the walk so far
                 below = np.flatnonzero(~(pos > bound))

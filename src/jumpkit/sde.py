@@ -22,16 +22,20 @@ steps every path in the package.  It steps a list of lanes, each a
 lane of one.  Each lane draws from its own generator exactly what it
 would draw alone: every path's jump schedule, then one normal per path per
 grid step followed by that step's sub-step normals, one jumping path after
-another (Philox gives the same normals drawn singly or in one call).  So
-every lane's numbers are bit-identical to running it alone.  A path that
-jumps inside a step takes exact sub-steps between its jump times on
-normals of its own, so its base-step normal goes unused.  The k-th jumps
-of all jumping paths share one masked sub-step, so time-varying
-coefficients may receive an array of sub-step times in ``t``; callables
-must act elementwise.
+another.  The schedules come first, so the number of normals a lane takes
+at each step is known before stepping starts: the kernel draws each lane's
+normals for a chunk of steps in one call and reads every step's base
+normals and every jumping path's sub-step normals by offset (Philox gives
+the same normals drawn singly or in one call).  So every lane's numbers
+are bit-identical to running it alone.  A path that jumps inside a step
+takes exact sub-steps between its jump times on normals of its own, so its
+base-step normal goes unused.  The k-th jumps of all jumping paths share
+one masked sub-step, so time-varying coefficients may receive an array of
+sub-step times in ``t``; callables must act elementwise.
 
 Memory is bounded whatever the number of paths: lanes are stepped in runs
-of at most ``_MAX_RUN_PATHS`` paths.  A grid finer than ``MAX_STEPS``
+of at most ``_MAX_RUN_PATHS`` paths, and a run holds the normals of about
+``_NOISE_CHUNK`` path-steps at a time.  A grid finer than ``MAX_STEPS``
 steps is refused with :class:`ParameterError` before anything is
 allocated.
 """
@@ -48,6 +52,7 @@ BLOWUP_THRESHOLD = 1e12
 MAX_STEPS = 10_000_000  # grid steps per simulation; more raise ParameterError
 MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
 _MAX_RUN_PATHS = 1 << 16  # paths stepped together by one run of the kernel
+_NOISE_CHUNK = 1 << 16  # base normals drawn ahead at a time by one run of the kernel
 
 
 def _identity_mark(t, x, z):
@@ -99,7 +104,8 @@ class JumpDiffusionSpec:
 
     def effective_drift(self, t, x):
         mu = self.drift(t, x)
-        if self.compensated and self.jump_intensity > 0:
+        # a zero constant compensator (symmetric marks) leaves mu as it is
+        if self.compensated and self.jump_intensity > 0 and self._compensator_const != 0.0:
             mu = mu - self.compensator(t, x)
         return mu
 
@@ -167,10 +173,11 @@ def in_intervals(x, lo, hi):
     The interval axis comes first in ``lo`` and ``hi``; each ``lo[k]`` and
     ``hi[k]`` broadcasts against ``x``, so the bounds may differ per entry.
     """
-    inside = np.zeros(np.shape(x), dtype=bool)
+    inside = None
     for lo_k, hi_k in zip(lo, hi):
-        inside |= (x > lo_k) & (x < hi_k)
-    return inside
+        within = (x > lo_k) & (x < hi_k)
+        inside = within if inside is None else inside | within
+    return np.zeros(np.shape(x), dtype=bool) if inside is None else inside
 
 
 def _check_arrivals(span, mean):
@@ -292,14 +299,16 @@ def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
 
     ``lanes`` is an iterable of ``(generator, size, policy)``: ``size``
     paths drawn from ``generator`` and steered by ``policy`` (either every
-    lane carries a policy or none does).  A lane draws exactly what it
-    would draw stepped alone: every path's jump schedule in path order,
-    then per step one normal per path and, if paths jump in it, their
-    sub-step normals in path order.  Its numbers are therefore
-    bit-identical to a run of that lane alone, for callables that act
-    elementwise.  Lanes are consumed in order and stepped together in runs
-    of at most ``_MAX_RUN_PATHS`` paths (a larger lane runs alone), so
-    memory stays bounded whatever the number of lanes.
+    lane carries a policy or none does; no two lanes share a generator).
+    A lane draws exactly what it would draw stepped alone: every path's
+    jump schedule in path order, then per step one normal per path and, if
+    paths jump in it, their sub-step normals in path order.  The kernel
+    draws these normals ahead, one call per lane for each chunk of
+    ``max(1, _NOISE_CHUNK // paths)`` steps, in the same order.  A lane's
+    numbers are therefore bit-identical to a run of that lane alone, for
+    callables that act elementwise.  Lanes are consumed in order and
+    stepped together in runs of at most ``_MAX_RUN_PATHS`` paths (a larger
+    lane runs alone), so memory stays bounded whatever the number of lanes.
 
     A ``policy`` gives its continuation region as ``bounds()``, open
     intervals tested by :func:`in_intervals`, and its impulses as
@@ -333,7 +342,8 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
     n_lanes, size, n_steps = len(lanes), int(sizes.sum()), ends.size
     starts = np.cumsum(sizes) - sizes
     lane_of = np.repeat(np.arange(n_lanes), sizes)
-    spans = list(zip(gens, starts.tolist(), (starts + sizes).tolist()))
+    rows = np.arange(size)
+    local = rows - starts[lane_of]  # each path's place in its lane
 
     law = Exponential(spec.jump_intensity) if spec.jump_intensity > 0 else None
     schedules = [_sample_jump_schedule(gen, law, spec.mark_distribution, ends[-1])
@@ -346,16 +356,28 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
     keys, pair_at, pair_count = np.unique(np.searchsorted(ends, jump_t) * size + owner,
                                           return_index=True, return_counts=True)
     pair_step, pair_path = np.divmod(keys, size)
-    pair_gen = [gens[lane] for lane in lane_of[pair_path].tolist()]
+    pair_lane = lane_of[pair_path]
+    # a pair takes one sub-step per jump and one more for a tail of positive
+    # length from its last jump to the step end; its lane draws the sub-step
+    # normals after its base normals of the step and those of its earlier
+    # pairs there (a lane's pairs in one step are contiguous)
+    pair_last = jump_t[pair_at + pair_count - 1]
+    pair_tail = ends[pair_step] - pair_last
+    pair_sub = pair_count + (pair_tail > 0)
+    drawn = np.cumsum(pair_sub) - pair_sub
+    _, cell_at, cell_of = np.unique(pair_step * n_lanes + pair_lane, return_index=True,
+                                    return_inverse=True)
+    pair_skip = sizes[pair_lane] + drawn - drawn[cell_at][cell_of]
     steps, group_at = np.unique(pair_step, return_index=True)
     cuts = np.append(group_at, keys.size).tolist()
-    groups = dict(zip(steps.tolist(), zip(cuts, cuts[1:])))
+    rounds = np.maximum.reduceat(pair_count, group_at).tolist() if keys.size else []
+    groups = dict(zip(steps.tolist(), zip(cuts, cuts[1:], rounds)))
 
-    everyone, rows = slice(None), np.arange(size)
     x = np.full(size, float(x0))
     integral, left = np.zeros(size), np.zeros(size)  # left: integrand after the latest node
-    peak = np.zeros(size)
+    peak, size_now = np.zeros(size), np.empty(size)
     n_int = np.zeros(size, dtype=np.int64)
+    t_base, h_base = np.empty(size), np.empty(size)  # per-path base step where paths jump
     logs = [_PathLog(float(x0)) for _ in range(size)] if record else None
 
     policed = policies[0] is not None
@@ -370,36 +392,51 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
             lower[:lo.size, lane], upper[:hi.size, lane] = lo, hi
         lower, upper = lower[:, lane_of], upper[:, lane_of]
 
-    def _advance(idx, t0, t1, step, noise):
-        """Euler sub-step of the paths ``idx`` from ``t0`` to the node ``t1``."""
-        xs = x[idx]
-        xs = xs + spec.effective_drift(t0, xs) * step \
-            + spec.diffusion(t0, xs) * np.sqrt(step) * noise
-        x[idx] = xs
-        if integrand is not None:
-            right = integrand(t1, xs)
-            integral[idx] += 0.5 * step * (left[idx] + right) if trapezoid else step * left[idx]
-            left[idx] = right
-        if logs is not None and np.ndim(step) == 0:  # a plain step of every path
+    def _draw(k0, k1):
+        """Every lane's normals for steps ``k0:k1``, each lane's in one call.
+
+        Returns the base normals, one row per step, the flat buffer, and the
+        places in it of the first and the last sub-step normal of every pair
+        from the chunk's first pair ``j0`` on.
+        """
+        j0, j1 = np.searchsorted(pair_step, [k0, k1]).tolist()
+        need = np.tile(sizes, (k1 - k0, 1))  # normals per step and lane
+        np.add.at(need, (pair_step[j0:j1] - k0, pair_lane[j0:j1]), pair_sub[j0:j1])
+        need = need.T  # lane-major: each lane's draws in the order it makes them
+        at = (np.cumsum(need) - need.ravel()).reshape(need.shape)
+        noise = np.empty(at[-1, -1] + need[-1, -1])
+        cuts = at[:, 0].tolist() + [noise.size]
+        for gen, a, b in zip(gens, cuts, cuts[1:]):
+            gen.standard_normal(out=noise[a:b])
+        first = at[pair_lane[j0:j1], pair_step[j0:j1] - k0] + pair_skip[j0:j1]
+        return noise[at.T[:, lane_of] + local], noise, first, first + pair_sub[j0:j1] - 1, j0
+
+    def _log_nodes(paths, t1, xs, h1):
+        if np.ndim(h1) == 0:  # a plain step of every path
             for log, xp in zip(logs, xs.tolist()):
                 log.node(t1, xp)
-        elif logs is not None:
-            for p, tp, xp, hp in np.broadcast(rows[idx], t1, xs, step):
-                if hp > 0:
-                    logs[p].node(tp, xp)
-
-    def _apply_policy(idx, t):
-        """Impulse the paths of ``idx`` that lie outside their lane's D at time(s) ``t``."""
-        xs = x[idx]
-        out = ~in_intervals(xs, lower[:, idx], upper[:, idx])
-        if not out.any():
             return
-        hit, t_hit, before = rows[idx][out], t[out] if np.ndim(t) else t, xs[out]
+        for p, tp, xp, hp in np.broadcast(paths, t1, xs, h1):
+            if hp > 0:
+                logs[p].node(tp, xp)
+
+    def _apply_policy(idx, t, xs):
+        """Impulse the paths ``idx`` (None: all), at ``xs``, that lie outside D at time(s) ``t``."""
+        bounds = (lower, upper) if idx is None else (lower[:, idx], upper[:, idx])
+        inside = in_intervals(xs, *bounds)
+        if inside.all():
+            return
+        out = ~inside
+        hit, t_hit, before = rows[out] if idx is None else idx[out], \
+            t[out] if np.ndim(t) else t, xs[out]
         hit_lane = lane_of[hit]
         z = np.empty(hit.size)
-        for lane in np.unique(hit_lane).tolist():
-            mine = hit_lane == lane
-            z[mine] = policies[lane].impulse(before[mine])
+        if hit_lane[0] == hit_lane[-1]:  # hit ascends, so one lane holds them all
+            z[:] = policies[hit_lane[0]].impulse(before)
+        else:
+            for lane in np.unique(hit_lane).tolist():
+                mine = hit_lane == lane
+                z[mine] = policies[lane].impulse(before[mine])
         if intervention_cost is not None:
             integral[hit] += intervention_cost(t_hit, before, z)
         after = before + z
@@ -412,35 +449,43 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
         if capped.any():
             raise ChatteringError(f"a path exceeded {max_interventions} interventions "
                                   f"by t={np.broadcast_to(t_hit, hit.shape)[capped][0]}")
-        missed = ~in_intervals(after, lower[:, hit], upper[:, hit])
-        if missed.any():
-            when = float(np.broadcast_to(t_hit, hit.shape)[missed][0])
+        landed = in_intervals(after, lower[:, hit], upper[:, hit])
+        if not landed.all():
+            when = float(np.broadcast_to(t_hit, hit.shape)[~landed][0])
             raise NumericalError(f"an impulse at t={when!r} failed to return the state "
                                  "to the continuation region")
         if integrand is not None:
             left[hit] = integrand(t_hit, after)
 
-    def _jump_substeps(lo, hi, t, te, z):
-        """Step pairs ``lo:hi`` through (t, te]; returns every path's last sub-step."""
-        jumpers, at, count = pair_path[lo:hi], pair_at[lo:hi], pair_count[lo:hi]
-        last = jump_t[at + count - 1]
-        tail = te - last
-        n_sub = count + (tail > 0)
-        first = np.cumsum(n_sub) - n_sub
-        # each jumping path draws its sub-step normals from its own lane
-        normals = np.concatenate([gen.standard_normal(n)
-                                  for gen, n in zip(pair_gen[lo:hi], n_sub.tolist())])
-        # the k-th jumps of all paths that have one share a masked sub-step
-        sel, now, nrm, remaining = jumpers, t, first, count
-        while True:
+    def _jump_substeps(lo, hi, n_rounds, t, noise, first, last):
+        """Step pairs ``lo:hi`` through their jumps; returns their tail normals.
+
+        Sets every path's base step in ``t_base`` and ``h_base``: from its
+        last jump for the pairs' paths, the whole step for the others.
+        """
+        jumpers, count = pair_path[lo:hi], pair_count[lo:hi]
+        # the r-th jumps of all paths that have one share a masked sub-step
+        sel, at, nrm, now = jumpers, pair_at[lo:hi], first, t
+        for r in range(n_rounds):
+            if r:
+                more = count > r
+                sel, at, nrm, now, count = sel[more], at[more] + 1, nrm[more] + 1, tau[more], \
+                    count[more]
             tau, marks = jump_t[at], jump_z[at]
-            _advance(sel, now, tau, tau - now, normals[nrm])
-            applied = spec.jump_coefficient(tau, x[sel], marks)
-            xs = x[sel] + applied
+            h1 = tau - now
+            xs = x[sel]
+            xs = xs + spec.effective_drift(now, xs) * h1 \
+                + spec.diffusion(now, xs) * np.sqrt(h1) * noise[nrm]
+            if integrand is not None:
+                right = integrand(tau, xs)
+                integral[sel] += 0.5 * h1 * (left[sel] + right) if trapezoid else h1 * left[sel]
+            if logs is not None:
+                _log_nodes(sel, tau, xs, h1)
+            applied = spec.jump_coefficient(tau, xs, marks)
+            xs = xs + applied
             x[sel] = xs
-            bad = ~(np.abs(xs) <= BLOWUP_THRESHOLD)
-            if bad.any():
-                when = float(tau[bad][0])
+            if not np.abs(xs).max() <= BLOWUP_THRESHOLD:
+                when = float(tau[~(np.abs(xs) <= BLOWUP_THRESHOLD)][0])
                 raise NumericalBlowupError(f"a path blew up at t={when}", time=when)
             if logs is not None:
                 for p, tp, mp, sp, xp in np.broadcast(sel, tau, marks, applied, xs):
@@ -448,40 +493,59 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
             if integrand is not None:
                 left[sel] = integrand(tau, xs)
             if policed:
-                _apply_policy(sel, tau)
-            more = remaining > 1
-            if not more.any():
-                break
-            sel, at, nrm, now = sel[more], at[more] + 1, nrm[more] + 1, tau[more]
-            remaining = remaining[more] - 1
-        # the tail to te joins the other paths' base step; a jump exactly at
-        # te leaves a zero-length tail whose placeholder noise meets sqrt(0)
-        t_left, step = np.full(size, t), np.full(size, h)
-        t_left[jumpers], step[jumpers] = last, tail
-        z[jumpers] = normals[np.minimum(first + count, normals.size - 1)]
-        return t_left, step, z
+                _apply_policy(sel, tau, xs)
+        # the tail to te joins the other paths' base step on the pair's last
+        # normal; a jump exactly at te leaves a zero-length tail, and its
+        # last jump's normal then meets sqrt(0)
+        t_base.fill(t)
+        h_base.fill(h)
+        t_base[jumpers], h_base[jumpers] = pair_last[lo:hi], pair_tail[lo:hi]
+        return noise[last]
 
     if policed:
-        _apply_policy(everyone, 0.0)
+        _apply_policy(None, 0.0, x)
     if integrand is not None:
         left[:] = integrand(0.0, x)
+    ends_list, root_h = ends.tolist(), np.sqrt(h)
+    chunk = max(1, _NOISE_CHUNK // size)
     t = 0.0
-    for k, te in enumerate(ends.tolist()):
-        z = np.empty(size)
-        for gen, a, b in spans:
-            gen.standard_normal(out=z[a:b])
-        t_left, step = t, h
-        if k in groups:
-            t_left, step, z = _jump_substeps(*groups[k], t, te, z)
-        _advance(everyone, t_left, te, step, z)
-        size_now = np.abs(x)
-        worst = size_now.max()
-        if not worst <= BLOWUP_THRESHOLD:
-            raise NumericalBlowupError(f"a path blew up to {float(worst)!r} at t={te}", time=te)
-        np.maximum(peak, size_now, out=peak)
-        if policed and k + 1 < n_steps:
-            _apply_policy(everyone, te)
-        t = te
+    for k0 in range(0, n_steps, chunk):
+        base, noise, first, last, j0 = _draw(k0, min(k0 + chunk, n_steps))
+        for k, z in enumerate(base, start=k0):
+            te = ends_list[k]
+            if k in groups:
+                lo, hi, n_rounds = groups[k]
+                z[pair_path[lo:hi]] = _jump_substeps(lo, hi, n_rounds, t, noise,
+                                                     first[lo - j0:hi - j0],
+                                                     last[lo - j0:hi - j0])
+                t0, h0, root = t_base, h_base, np.sqrt(h_base)
+            else:
+                t0, h0, root = t, h, root_h
+            # both coefficients read the state before the step; x changes after
+            drift = spec.effective_drift(t0, x) * h0
+            shock = spec.diffusion(t0, x) * root * z
+            x += drift
+            x += shock
+            if integrand is not None:
+                right = integrand(te, x)
+                if trapezoid:
+                    left += right
+                    left *= 0.5 * h0
+                else:
+                    left *= h0
+                integral += left
+                left[:] = right
+            if logs is not None:
+                _log_nodes(rows, te, x, h0)
+            np.abs(x, out=size_now)
+            worst = size_now.max()
+            if not worst <= BLOWUP_THRESHOLD:
+                raise NumericalBlowupError(f"a path blew up to {float(worst)!r} at t={te}",
+                                           time=te)
+            np.maximum(peak, size_now, out=peak)
+            if policed and k + 1 < n_steps:
+                _apply_policy(None, te, x)
+            t = te
 
     lane_peak = np.maximum.reduceat(peak, starts).tolist()
     lane_int = np.add.reduceat(n_int, starts).tolist()

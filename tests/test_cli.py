@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpkit
 from jumpkit.cli import MAX_COUNT, main, parse_config
 from jumpkit.errors import ConfigError
 
@@ -200,6 +204,25 @@ def test_impulse_solve_and_verify_smoke(tmp_path):
     assert lines[0] == "check,y0,phi,cost,stderr,passed"
     assert any(line.startswith("equality") for line in lines[1:])
     assert any(line.startswith("dominance_") for line in lines[1:])
+
+
+def test_cli_and_pattern_race_leave_scipy_interpolate_unloaded(tmp_path):
+    # only a CandidateValue needs scipy.interpolate; the CLI must not pay for its import
+    config = write_config(tmp_path, RACE_DOC)
+    script = f"""
+import sys
+import jumpkit.cli
+assert "scipy.interpolate" not in sys.modules, "loaded by import jumpkit.cli"
+assert jumpkit.cli.main(["--config", {str(config)!r}, "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.interpolate" not in sys.modules, "loaded by a pattern-race run"
+"""
+    src = str(Path(jumpkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "pattern_race.csv").is_file()
 
 
 def test_float_formatting_17_digits(tmp_path):

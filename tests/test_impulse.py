@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jumpkit import (
+    BenchmarkParams,
     CandidateValue,
     affine_intervention_operator,
     Discrete,
@@ -12,6 +13,7 @@ from jumpkit import (
     JumpDiffusionSpec,
     estimate_cost,
     intervention_operator,
+    make_benchmark_problem,
     minimize_over_targets,
     qvi_residual,
     sample_jump_times,
@@ -495,6 +497,49 @@ def test_lanes_with_different_policies_equal_each_run_alone(stream):
         assert (mine.peak, mine.interventions, mine.jumps) == \
             (alone.peak, alone.interventions, alone.jumps)
     assert [lane.interventions > 0 for lane in together] == [True, False, True]
+
+
+def recorded_lanes(stream):
+    problem = jumpy_problem()
+    return sde._simulate_batch(problem.dynamics, 0.3, 3.0, 1e-2, kernel_lanes(stream),
+                               intervention_cost=problem.intervention_cost,
+                               max_interventions=1000, integrand=problem.running_cost,
+                               trapezoid=True, record=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 1000])
+def test_noise_chunks_are_bit_identical(stream, monkeypatch, chunk):
+    # 66 paths: 300 steps in one chunk by default, 1, 3 or 15 steps here
+    whole = recorded_lanes(stream)
+    monkeypatch.setattr(sde, "_NOISE_CHUNK", chunk)
+    chunked = recorded_lanes(stream)
+    for mine, ref in zip(chunked, whole):
+        assert np.array_equal(mine.x, ref.x)
+        assert np.array_equal(mine.integral, ref.integral)
+        assert (mine.peak, mine.interventions, mine.jumps) == (ref.peak, ref.interventions,
+                                                               ref.jumps)
+        for path, ref_path in zip(mine.paths, ref.paths):
+            assert np.array_equal(path.times, ref_path.times)
+            assert np.array_equal(path.states, ref_path.states)
+            assert np.array_equal(path.pre_states, ref_path.pre_states)
+            assert (path.jumps, path.interventions) == (ref_path.jumps, ref_path.interventions)
+    assert [lane.jumps > 0 for lane in whole] == [True, True, True]
+    assert [lane.interventions > 0 for lane in whole] == [True, False, True]
+
+
+def test_estimates_are_pinned_to_17_digits(stream):
+    # the kernel's draw order and arithmetic fix these numbers; any change moves them
+    est = estimate_cost(jumpy_problem(), two_interval_policy(), 0.3, 300, 1e-2, stream,
+                        horizon=3.0)
+    assert (est.value, est.stderr, est.peak) == \
+        (5.504821393656358, 0.07388269442129668, 1.7162283248862795)
+    assert (est.interventions_per_path, est.jumps_per_path) == \
+        (6.303333333333334, 6.126666666666667)
+    est = estimate_cost(make_benchmark_problem(BenchmarkParams()), band_policy(1.0, 0.3), 0.0,
+                        300, 1e-2, stream, horizon=4.0)
+    assert (est.value, est.stderr, est.peak) == \
+        (0.6835424111906749, 0.029138918845329626, 1.1276520004821287)
+    assert (est.interventions_per_path, est.jumps_per_path) == (2.1733333333333333, 3.19)
 
 
 def test_cost_counters_match_the_recorded_path(stream):

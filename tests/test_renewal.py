@@ -58,6 +58,25 @@ def test_simulate_rejects_nonpositive_gaps(stream):
         simulate_renewal(RenewalSpec(interarrival=Degenerate()), 5.0, stream)
 
 
+class FourthDrawNaN:
+    """Exponential(1) gaps, except that the 4th draw is NaN."""
+
+    mean = 1.0
+    second_moment = 2.0
+
+    def sample(self, gen, size=None):
+        draws = gen.exponential(1.0, size=size)
+        draws[3] = np.nan
+        return draws
+
+
+@pytest.mark.parametrize("mode", ["nonlattice", "random_walk"])
+def test_blackwell_refuses_a_nan_draw(stream, mode):
+    # a NaN position is never over the random walk's bound, so the walk must refuse it
+    with pytest.raises(DistributionError):
+        blackwell_check(RenewalSpec(interarrival=FourthDrawNaN()), 5.0, 1.0, mode, 4, stream)
+
+
 def test_mean_process_poisson(stream):
     spec = RenewalSpec(interarrival=Exponential(2.0))
     est = estimate_mean_process(spec, 10.0, 4000, stream)
