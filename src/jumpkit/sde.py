@@ -173,11 +173,10 @@ def in_intervals(x, lo, hi):
     The interval axis comes first in ``lo`` and ``hi``; each ``lo[k]`` and
     ``hi[k]`` broadcasts against ``x``, so the bounds may differ per entry.
     """
-    inside = None
+    inside = np.zeros(np.shape(x), dtype=bool)
     for lo_k, hi_k in zip(lo, hi):
-        within = (x > lo_k) & (x < hi_k)
-        inside = within if inside is None else inside | within
-    return np.zeros(np.shape(x), dtype=bool) if inside is None else inside
+        inside |= (x > lo_k) & (x < hi_k)
+    return inside
 
 
 def _check_arrivals(span, mean):
@@ -431,12 +430,10 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
             t[out] if np.ndim(t) else t, xs[out]
         hit_lane = lane_of[hit]
         z = np.empty(hit.size)
-        if hit_lane[0] == hit_lane[-1]:  # hit ascends, so one lane holds them all
-            z[:] = policies[hit_lane[0]].impulse(before)
-        else:
-            for lane in np.unique(hit_lane).tolist():
-                mine = hit_lane == lane
-                z[mine] = policies[lane].impulse(before[mine])
+        # hit ascends and a lane's rows are contiguous, so each lane's hits form one run
+        cuts = [0, *(np.flatnonzero(np.diff(hit_lane)) + 1).tolist(), hit.size]
+        for a, b in zip(cuts, cuts[1:]):
+            z[a:b] = policies[hit_lane[a]].impulse(before[a:b])
         if intervention_cost is not None:
             integral[hit] += intervention_cost(t_hit, before, z)
         after = before + z
