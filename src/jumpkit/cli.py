@@ -177,21 +177,23 @@ def _make_coefficient(doc, ctx):
     raise ConfigError(f"unknown {ctx}type: {kind}")
 
 
-def _normalize_symbol(symbol):
-    # JSON symbols may arrive as ints, floats or strings; keep ints exact.
-    if isinstance(symbol, float) and symbol.is_integer():
-        return int(symbol)
-    return symbol
+def _symbol(value, name):
+    """A pattern, source or state symbol: a number or a string, integral floats as ints."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"field {name} must hold numbers or strings, not {type(value).__name__}")
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def _make_source(doc):
     kind = _require(doc, "type", str, "source.")
     if kind == "iid":
-        symbols = [_normalize_symbol(s) for s in _require(doc, "symbols", list, "source.")]
+        symbols = [_symbol(s, "source.symbols") for s in _require(doc, "symbols", list, "source.")]
         probs = [_number(p, "source.probs") for p in _require(doc, "probs", list, "source.")]
         return IIDSource(symbols=tuple(symbols), probs=probs)
     if kind == "markov":
-        states = [_normalize_symbol(s) for s in _require(doc, "states", list, "source.")]
+        states = [_symbol(s, "source.states") for s in _require(doc, "states", list, "source.")]
         matrix = _require(doc, "matrix", list, "source.")
         if not all(isinstance(row, list) and len(row) == len(matrix) for row in matrix):
             raise ConfigError("field source.matrix must be a square list of rows")
@@ -330,8 +332,7 @@ def _run_renewal_check(params, stream):
 
 
 def _run_pattern_expect(params, stream):
-    pattern = Pattern(tuple(_normalize_symbol(s)
-                            for s in _require(params, "pattern", list)))
+    pattern = Pattern(tuple(_symbol(s, "pattern") for s in _require(params, "pattern", list)))
     source = _make_source(_require(params, "source", dict))
     closed_form = bool(params.get("closed_form", True))
     strict = bool(params.get("strict", True))
@@ -339,7 +340,7 @@ def _run_pattern_expect(params, stream):
     if closed_form:
         if isinstance(source, MarkovChain):
             x0 = params.get("x0")
-            x0 = _normalize_symbol(x0) if x0 is not None else None
+            x0 = _symbol(x0, "x0") if x0 is not None else None
             value = expected_time_markov(pattern, source, x0=x0, strict=strict)
         else:
             value = expected_time_iid(pattern, source, strict=strict)
@@ -352,10 +353,12 @@ def _run_pattern_expect(params, stream):
 
 def _run_pattern_race(params, stream):
     raw_patterns = _require(params, "patterns", list)
-    patterns = [Pattern(tuple(_normalize_symbol(s) for s in p)) for p in raw_patterns]
+    if not all(isinstance(p, list) for p in raw_patterns):
+        raise ConfigError("field patterns must be a list of symbol lists")
+    patterns = [Pattern(tuple(_symbol(s, "patterns") for s in p)) for p in raw_patterns]
     source = _make_source(_require(params, "source", dict))
     initial_state = params.get("initial_state")
-    initial_state = _normalize_symbol(initial_state) if initial_state is not None else None
+    initial_state = _symbol(initial_state, "initial_state") if initial_state is not None else None
     result = race_solve(patterns, source, initial_state=initial_state)
     entries = [(f"P_{i + 1}", p, 0.0, 0) for i, p in enumerate(result.probabilities)]
     entries.append(("E_T_min", result.expected_min_time, 0.0, 0))

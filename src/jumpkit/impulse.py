@@ -232,6 +232,9 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # points per block of the coarse search; bounds its dense arrays at
 # _COARSE_BLOCK x len(targets) whatever the number of points
 _COARSE_BLOCK = 256
+_REFINE_TOL = 1e-6  # bracket width at which the golden-section refinement stops
+_N_TARGETS = 401  # nodes of the uniform target grid of qvi_residual
+_BLOCK_SIZE = 256  # paths per block of a cost estimate, one substream each
 
 
 def affine_intervention_operator(values, x, fixed, proportional):
@@ -276,12 +279,12 @@ def _affine_envelope(values, x, fixed, proportional):
     return fixed + np.minimum(fwd, bwd), np.where(nearer_right, right_pick, left_pick)
 
 
-def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
+def minimize_over_targets(value_fn, cost_fn, points, targets):
     """Vectorised M-operator: best post-impulse position for each point.
 
     Coarse search over ``targets`` (ties resolved toward the smallest
     impulse magnitude), then golden-section refinement of the target
-    between the coarse winner's neighbours down to ``refine_tol``.
+    between the coarse winner's neighbours down to a width of 1e-6.
     Returns ``(values, best_targets)`` arrays.
 
     This is the general search, for any cost and candidate, and the
@@ -319,7 +322,7 @@ def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
 
     fc, fd = _eval(c), _eval(d)
     span = np.max(hi - lo) if targets.size > 1 else 0.0
-    n_iter = int(np.ceil(np.log(max(span, refine_tol) / refine_tol) / -np.log(_GOLDEN))) + 1
+    n_iter = int(np.ceil(np.log(max(span, _REFINE_TOL) / _REFINE_TOL) / -np.log(_GOLDEN))) + 1
     for _ in range(max(n_iter, 1)):
         take_c = fc < fd
         b = np.where(take_c, d, b)
@@ -337,12 +340,7 @@ def minimize_over_targets(value_fn, cost_fn, points, targets, refine_tol=1e-6):
     return best_f, best_w
 
 
-def default_target_grid(lo, hi, n=401):
-    """Uniform impulse-target grid over the state span."""
-    return np.linspace(lo, hi, n)
-
-
-def intervention_operator(value_fn, cost_fn, x, targets, refine_tol=1e-6):
+def intervention_operator(value_fn, cost_fn, x, targets):
     """Best single-impulse value M phi(x) and its minimising impulse.
 
     ``value_fn`` maps positions to candidate values, ``cost_fn(x, z)`` is
@@ -352,7 +350,7 @@ def intervention_operator(value_fn, cost_fn, x, targets, refine_tol=1e-6):
     """
     if np.ndim(x) != 0:
         raise ParameterError("intervention_operator is scalar; use minimize_over_targets")
-    values, best = minimize_over_targets(value_fn, cost_fn, [x], targets, refine_tol)
+    values, best = minimize_over_targets(value_fn, cost_fn, [x], targets)
     return float(values[0]), float(best[0] - x)
 
 
@@ -367,12 +365,12 @@ def _stationary_cost(problem):
     return run, kost
 
 
-def qvi_residual(problem, candidate, margin=None, n_targets=401, refine_tol=1e-6):
+def qvi_residual(problem, candidate):
     """Complementarity defect of the QVI at every grid node.
 
-    ``margin`` excludes nodes within that distance of the grid ends from
-    the sup norm (one-sided interpolation stencils plus one jump reach by
-    default); all nodes are still reported.
+    The sup norm excludes the nodes within one jump reach plus two grid
+    steps of the grid ends (one-sided interpolation stencils); all nodes
+    are still reported.  M phi searches 401 uniform targets over the grid.
     """
     x = candidate.x
     run, kost = _stationary_cost(problem)
@@ -381,18 +379,17 @@ def qvi_residual(problem, candidate, margin=None, n_targets=401, refine_tol=1e-6
         generator_apply(problem.dynamics, field, 0.0, x), dtype=float
     ) + np.asarray(run(x), dtype=float)
 
-    targets = default_target_grid(x[0], x[-1], n_targets)
-    m_vals, _ = minimize_over_targets(candidate.psi, kost, x, targets, refine_tol)
+    targets = np.linspace(x[0], x[-1], _N_TARGETS)
+    m_vals, _ = minimize_over_targets(candidate.psi, kost, x, targets)
     value_minus = candidate.values - m_vals
 
-    if margin is None:
-        reach = 0.0
-        dist = problem.dynamics.mark_distribution
-        if dist is not None and hasattr(dist, "values"):
-            reach = float(np.max(np.abs(dist.values)))
-        elif dist is not None and hasattr(dist, "support"):
-            reach = float(np.max(np.abs(dist.support)))
-        margin = reach + 2.0 * candidate.step
+    reach = 0.0
+    dist = problem.dynamics.mark_distribution
+    if dist is not None and hasattr(dist, "values"):
+        reach = float(np.max(np.abs(dist.values)))
+    elif dist is not None and hasattr(dist, "support"):
+        reach = float(np.max(np.abs(dist.support)))
+    margin = reach + 2.0 * candidate.step
     interior = (x >= x[0] + margin) & (x <= x[-1] - margin)
     if not np.any(interior):
         raise ParameterError("margin excluded every node from the residual")
@@ -412,7 +409,7 @@ def qvi_residual(problem, candidate, margin=None, n_targets=401, refine_tol=1e-6
     )
 
 
-def synthesize_policy(problem, candidate, region_tol=1e-4, refine_tol=1e-6):
+def synthesize_policy(problem, candidate, region_tol=1e-4):
     """Extract the continuation region and impulse map from a candidate.
 
     D is where the candidate is strictly below its intervention value
@@ -423,9 +420,7 @@ def synthesize_policy(problem, candidate, region_tol=1e-4, refine_tol=1e-6):
     """
     x = candidate.x
     _, kost = _stationary_cost(problem)
-    m_vals, m_targets = minimize_over_targets(
-        candidate.psi, kost, x, x, refine_tol
-    )
+    m_vals, m_targets = minimize_over_targets(candidate.psi, kost, x, x)
     gap = m_vals - candidate.values
     inside = gap > region_tol
     if not np.any(inside):
@@ -499,7 +494,7 @@ class CostEstimate:
 
 
 def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
-                  block_size=256, max_interventions=100_000):
+                  max_interventions=100_000):
     """Estimate the closed-loop objective from ``y0`` by Monte Carlo.
 
     The running cost is accumulated by the trapezoidal rule on the path
@@ -509,16 +504,15 @@ def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
     bound ``e^{-rho T} sup running / rho`` is reported; a bound above 1%
     of the estimate sets ``horizon_warning``.
 
-    Paths form fixed blocks, block b on substream b, and the blocks are
-    lanes of one kernel run, so the result does not depend on how they are
-    stepped.
+    Paths form fixed blocks of 256, block b on substream b, and the
+    blocks are lanes of one kernel run, so the result does not depend on
+    how they are stepped.
     """
     return _estimate_costs(problem, [(policy, stream)], y0, n_paths, dt, horizon=horizon,
-                           block_size=block_size, max_interventions=max_interventions)[0]
+                           max_interventions=max_interventions)[0]
 
 
-def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, block_size=256,
-                    max_interventions=100_000):
+def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, max_interventions=100_000):
     """:func:`estimate_cost` of every ``(policy, stream)`` in ``jobs``, from one kernel run.
 
     Each policy contributes its blocks as lanes, block b on substream b of
@@ -533,7 +527,7 @@ def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, block_size=256
         raise ParameterError(f"n_paths must be positive, got {n_paths}")
     lanes = [lane for policy, stream in jobs
              for lane in map_blocks(lambda sub, lo, hi: (sub.generator, hi - lo, policy),
-                                    n_paths, stream, block_size)]
+                                    n_paths, stream, _BLOCK_SIZE)]
     n_blocks = len(lanes) // len(jobs)
     results = _simulate_batch(
         problem.dynamics, y0, horizon, dt, lanes, intervention_cost=problem.intervention_cost,

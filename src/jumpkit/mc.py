@@ -19,10 +19,6 @@ class EstimateWithCI:
     stderr: float
     n: int
 
-    def half_width(self, k=3.0):
-        """Half width of the ``k``-sigma interval around ``value``."""
-        return k * self.stderr
-
     def covers(self, target, k=3.0):
         """True when ``target`` lies within ``k`` standard errors."""
         return abs(self.value - target) <= k * self.stderr

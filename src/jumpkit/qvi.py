@@ -1,16 +1,14 @@
 """Finite-difference QVI solver for the jump-linear benchmark.
 
-Benchmark family: state dX = a X dt + sigma dW + jumps of +-delta
-(equiprobable, compensated, intensity lambda), discounted quadratic
-running cost e^{-rho t} x^2, intervention cost e^{-rho t} (c + kappa |z|).
-The candidate factors as e^{-rho t} psi(x); psi solves the stationary
-obstacle problem
+The benchmark's dynamics, running cost and intervention cost are the
+:class:`ImpulseProblem` of :func:`make_benchmark_problem`.  The candidate
+factors as e^{-rho t} psi(x); psi solves the stationary obstacle problem
 
-    max( B psi - x^2, psi - M psi ) = 0,   B = rho I - L0,
+    max( B psi - l, psi - M psi ) = 0,   B = rho I - L0,
 
-with L0 psi = a x psi' + (sigma^2 / 2) psi'' + lambda ((psi(x+delta)
-+ psi(x-delta)) / 2 - psi(x)).  The symmetric marks make the compensator
-drift vanish, so the compensated and plain forms coincide here.
+with l the running cost at t = 0 and L0 the generator of the problem's
+dynamics: central differences for the drift and diffusion, and one
+lattice column per atom of the discrete mark law.
 
 The discrete complementarity problem is solved by Howard policy
 iteration over pairs (branch, target) at every node.  The obstacle is
@@ -46,6 +44,8 @@ from .sde import JumpDiffusionSpec
 # Largest grid accepted: one sparse solve of the default problem peaks near
 # 0.2 GB resident at 1.2e5 nodes and 1.0 GB at 1e6, growing linearly.
 MAX_GRID_NODES = 1_000_000
+_MAX_SWEEPS = 200  # policy iteration gives up after this many sweeps
+_UPDATE_TOL = 1e-9  # sup-norm update of a settled sweep
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,12 @@ class BenchmarkParams:
             raise ParameterError("grid step must divide the jump size exactly")
         if abs(cells - round(cells)) > 1e-9:
             raise ParameterError("grid step must divide the grid span exactly")
+        try:  # alpha + beta (never intervening from x = 1) and sigma^2 / h^2
+            finite = np.isfinite(self.uncontrolled_value(1.0) + (self.sigma / self.grid_step) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParameterError("never-intervene cost coefficients or sigma^2 / h^2 not finite")
 
     def uncontrolled_value(self, x):
         """Exact discounted quadratic cost of never intervening."""
@@ -130,28 +136,24 @@ class BenchmarkSolution:
     history: tuple = ()
 
 
-def _assemble_operator(x, params):
-    """Sparse B = rho I - L0 with central differences and lattice jumps."""
+def _assemble_operator(x, dynamics, discount):
+    """Sparse B = rho I - L0 of ``dynamics`` at t = 0; mark atoms lie on the lattice of ``x``."""
     n = x.size
     h = x[1] - x[0]
-    dj = int(round(params.jump_size / h))
-    a, sigma, lam, rho = (
-        params.drift_rate, params.sigma, params.jump_intensity, params.discount,
-    )
     i = np.arange(1, n - 1)
-    drift = a * x[i]
-    diff = (sigma**2 / 2) / h**2
-    # per interior row: diagonal, upper, lower, then the two jump targets,
-    # clamped to the boundary (only reached in the action zone)
-    cols = np.stack([i, i + 1, i - 1, np.minimum(i + dj, n - 1), np.maximum(i - dj, 0)], axis=1)
+    drift = dynamics.effective_drift(0.0, x[i])
+    diff = dynamics.diffusion(0.0, x[i]) ** 2 / 2 / h**2
+    lam, marks = dynamics.jump_intensity, dynamics.mark_distribution
+    shifts = np.rint(marks.values / h).astype(int)
+    # per interior row: diagonal, upper, lower, then one jump target per
+    # atom, clamped to the boundary (only reached in the action zone)
+    cols = np.stack([i, i + 1, i - 1] + [np.clip(i + s, 0, n - 1) for s in shifts], axis=1)
     vals = np.stack([
-        np.full(i.size, rho + sigma**2 / h**2 + lam),
+        discount + 2 * diff + lam,
         -diff - drift / (2 * h),
         -diff + drift / (2 * h),
-        np.full(i.size, -lam / 2.0),
-        np.full(i.size, -lam / 2.0),
-    ], axis=1)
-    rows = np.concatenate([np.repeat(i, 5), [0, n - 1]])
+    ] + [np.full(i.size, -lam * p) for p in marks.probs], axis=1)
+    rows = np.concatenate([np.repeat(i, cols.shape[1]), [0, n - 1]])
     cols = np.concatenate([cols.ravel(), [0, n - 1]])
     vals = np.concatenate([vals.ravel(), [1.0, 1.0]])
     return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
@@ -168,29 +170,30 @@ def _policy_matrix(operator, entry_rows, active, targets):
     return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
+def solve_benchmark_qvi(params=None):
     """Policy iteration for the benchmark QVI.
 
     Returns a :class:`BenchmarkSolution` whose candidate passes
     ``qvi_residual`` at the 1e-3 level; raises :class:`NumericalError`
-    if the policy has not stabilised within ``max_sweeps`` sweeps or
-    the band reaches the jump margin of the grid.
+    if the policy has not stabilised within 200 sweeps or the band
+    reaches the jump margin of the grid.
     """
     params = params or BenchmarkParams()
+    problem = make_benchmark_problem(params)
     h = params.grid_step
     n_cells = int(round((params.grid_hi - params.grid_lo) / h))
     x = np.linspace(params.grid_lo, params.grid_hi, n_cells + 1)
     n = x.size
-    operator = _assemble_operator(x, params)
+    operator = _assemble_operator(x, problem.dynamics, problem.discount)
     entry_rows = np.repeat(np.arange(n), np.diff(operator.indptr))
-    ell = x**2
+    ell = problem.running_cost(0.0, x)
     c, kappa = params.fixed_cost, params.proportional_cost
 
     psi = params.uncontrolled_value(x)
     active_prev = np.zeros(n, dtype=bool)
     targets_prev = np.arange(n)
     history = []
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         obstacle, targets = _affine_envelope(psi, x, c, kappa)
         pde_viol = operator @ psi - ell
         obs_viol = psi - obstacle
@@ -206,18 +209,18 @@ def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
         flipped = (active != active_prev) | (active & (targets != targets_prev))
         n_flips = int(np.count_nonzero(flipped))
         history.append((change, int(np.count_nonzero(active)), n_flips))
-        if sweeps > 1 and n_flips == 0 and change < update_tol:
+        if sweeps > 1 and n_flips == 0 and change < _UPDATE_TOL:
             break
         active_prev, targets_prev = active, targets
     else:
-        raise NumericalError(f"policy iteration did not settle within {max_sweeps} sweeps")
+        raise NumericalError(f"policy iteration did not settle within {_MAX_SWEEPS} sweeps")
 
     continuation = ~active_prev
     if not np.any(continuation):
         raise NumericalError("benchmark solve produced an empty continuation region")
     idx = np.where(continuation)[0]
     band = (float(x[idx[0]]), float(x[idx[-1]]))
-    dj = int(round(params.jump_size / h))
+    dj = int(round(np.max(np.abs(problem.dynamics.mark_distribution.values)) / h))
     if idx[0] <= dj or idx[-1] >= n - 1 - dj:
         raise NumericalError("continuation band reaches the jump margin; widen the grid")
 
@@ -228,7 +231,7 @@ def solve_benchmark_qvi(params=None, max_sweeps=200, update_tol=1e-9):
     if fd_residual > 1e-3:
         raise NumericalError(f"converged iterate has FD residual {fd_residual:.2e} > 1e-3")
 
-    candidate = CandidateValue(x=x, values=np.maximum(psi, 0.0), discount=params.discount)
+    candidate = CandidateValue(x=x, values=np.maximum(psi, 0.0), discount=problem.discount)
     return BenchmarkSolution(
         candidate=candidate,
         params=params,

@@ -43,6 +43,8 @@ REPORTED_REFERENCE_PROBABILITIES = (0.7895, 0.7884, 0.7889)
 # relative agreement asked of the conditional-time system and the closed
 # form with the joint-automaton solution
 _AGREE = 1e-9
+_PROB_TOL = 1e-10  # slack of the race probabilities on their sum and on [0, 1]
+_BLOCK_SIZE = 8192  # trials per block of a simulated race, one substream each
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,12 @@ class RaceResult:
     expected_times: np.ndarray
     conditional_times: np.ndarray
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Raise :class:`NumericalError` unless the solution is a race law."""
         p = self.probabilities
-        if not abs(p.sum() - 1.0) <= tol:
+        if not abs(p.sum() - 1.0) <= _PROB_TOL:
             raise NumericalError(f"race probabilities sum to {float(p.sum())!r}, not 1")
-        if not (np.all(p >= -tol) and np.all(p <= 1 + tol)):
+        if not (np.all(p >= -_PROB_TOL) and np.all(p <= 1 + _PROB_TOL)):
             raise NumericalError(f"race probabilities {p.tolist()} leave [0, 1]")
         shortest = float(self.expected_times.min())
         if not self.expected_min_time <= shortest + 1e-9 * (1 + shortest):
@@ -211,7 +213,7 @@ def run_race_probability_two_stage(n, m, r, p1, p2):
 
 
 def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None,
-                          max_steps=1_000_000, block_size=8192):
+                          max_steps=1_000_000):
     """Monte Carlo race: empirical win probabilities and minimum time.
 
     Trials exceeding ``max_steps`` are counted as truncated and excluded
@@ -254,7 +256,7 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
                     break
         return won, steps
 
-    results = map_blocks(_block, n_trials, stream, block_size)
+    results = map_blocks(_block, n_trials, stream, _BLOCK_SIZE)
     winner = np.concatenate([w for w, _ in results])
     steps = np.concatenate([s for _, s in results])
 

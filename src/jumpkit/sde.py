@@ -53,6 +53,7 @@ MAX_STEPS = 10_000_000  # grid steps per simulation; more raise ParameterError
 MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
 _MAX_RUN_PATHS = 1 << 16  # paths stepped together by one run of the kernel
 _NOISE_CHUNK = 1 << 16  # base normals drawn ahead at a time by one run of the kernel
+_EVENT_ATOL = 1e-9  # relative slack of SamplePath.validate's post - pre = events
 
 
 def _identity_mark(t, x, z):
@@ -148,23 +149,22 @@ class SamplePath:
     def final_state(self):
         return float(self.states[-1])
 
-    def validate(self, atol=1e-9):
-        """Check the structural invariants; raises AssertionError on failure."""
+    def validate(self):
+        """Raise :class:`NumericalError` unless the structural invariants hold."""
         t = self.times
-        assert t.ndim == 1 and np.all(np.diff(t) > 0), "times must strictly increase"
-        assert self.states.shape == t.shape == self.pre_states.shape
+        if not (t.ndim == 1 and np.all(np.diff(t) > 0)
+                and self.states.shape == t.shape == self.pre_states.shape):
+            raise NumericalError("path times must strictly increase, one per state")
         applied = np.zeros_like(self.states)
-        for rec in self.jumps:
-            assert t[0] <= rec.time <= t[-1]
-            assert t[rec.index] == rec.time
-            applied[rec.index] += rec.size
-        for rec in self.interventions:
-            assert t[0] <= rec.time <= t[-1]
-            assert t[rec.index] == rec.time
-            applied[rec.index] += rec.impulse
+        events = [(r, r.size) for r in self.jumps] + [(r, r.impulse) for r in self.interventions]
+        for rec, size in events:
+            if not (0 <= rec.index < t.size and t[rec.index] == rec.time):
+                raise NumericalError(f"event at t = {rec.time!r} is off the path's time grid")
+            applied[rec.index] += size
         gap = self.states - self.pre_states - applied
         scale = np.maximum(1.0, np.abs(self.states))
-        assert np.all(np.abs(gap) <= atol * scale), "post - pre must equal applied events"
+        if not np.all(np.abs(gap) <= _EVENT_ATOL * scale):
+            raise NumericalError("a state differs from its left limit plus the applied events")
 
 
 def in_intervals(x, lo, hi):

@@ -52,7 +52,6 @@ from jumpkit import (
     verify_value,
 )
 from jumpkit.cli import main as cli_main
-from jumpkit.impulse import default_target_grid
 from jumpkit.patterns import overlap_size
 from jumpkit.race import REPORTED_REFERENCE_PROBABILITIES
 
@@ -344,7 +343,7 @@ def test_criterion_8_impulse_control():
     assert report.sup_norm <= 1e-3
 
     # analytic M-operator example vs a dense brute-force grid
-    targets = default_target_grid(-6.0, 6.0)
+    targets = np.linspace(-6.0, 6.0, 401)
     dense = np.linspace(-6.0, 6.0, 2_000_001)
     oracle = float(np.min(dense**2 + 1.0 + np.abs(dense - 1.0)))
     m_val, zeta = intervention_operator(

@@ -358,6 +358,24 @@ def test_foreign_pattern_symbol_exit_code(tmp_path, capsys, doc):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "pattern-expect", "seed": 3,
+     "parameters": {"pattern": [[1], 0],
+                    "source": {"type": "iid", "symbols": [0, 1], "probs": [0.5, 0.5]}}},
+    _with_parameters(RACE_DOC, patterns=[[1, [0]], [0, 0]]),
+    _with_parameters(RACE_DOC, patterns=[1, [0, 0]]),
+    _with_parameters(RACE_DOC, source={"type": "iid", "symbols": [0, None], "probs": [0.5, 0.5]}),
+    _with_parameters(RACE_DOC, source={"type": "markov", "states": [0, {"s": 1}],
+                                       "matrix": [[0.5, 0.5], [0.5, 0.5]]}, initial_state=0),
+], ids=["pattern-expect-nested", "pattern-race-nested", "pattern-race-scalar-pattern",
+        "iid-symbol-null", "markov-state-object"])
+def test_non_scalar_symbol_exit_code(tmp_path, capsys, doc):
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: field")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_step_count_beyond_kernel_bound_exit_code(tmp_path, capsys):
     doc = _with_parameters(SIMULATE_DOC, dt=1e-15)
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
@@ -417,13 +435,26 @@ IMPULSE_SOLVE_DOC = {"kind": "impulse-solve", "seed": 1,
     ({"grid_lo": 6, "grid_hi": -6}, "need grid_lo < grid_hi"),
     ({"grid_lo": 1, "grid_hi": 1}, "need grid_lo < grid_hi"),
     ({"grid_step": 1e-7}, "MAX_GRID_NODES"),
-], ids=["step-zero", "step-negative", "lo-above-hi", "lo-equals-hi", "too-many-nodes"])
+    # sigma^2 and jump_size^2 overflow a Python float
+    ({"sigma": 1e200}, "not finite"),
+    ({"jump_size": 1e200, "grid_step": 1e200, "grid_lo": -1e201, "grid_hi": 1e201},
+     "not finite"),
+], ids=["step-zero", "step-negative", "lo-above-hi", "lo-equals-hi", "too-many-nodes",
+        "sigma-overflow", "jump-size-overflow"])
 def test_bad_qvi_grid_exit_code(tmp_path, capsys, grid, message):
     doc = _with_parameters(IMPULSE_SOLVE_DOC, benchmark=grid)
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_overflowing_benchmark_exit_code_in_verify(tmp_path, capsys):
+    doc = _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"sigma": 1e200})
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -25,7 +25,6 @@ from jumpkit import (
 )
 from jumpkit.errors import ChatteringError, DegeneratePolicyError, NumericalError, ParameterError
 from jumpkit import sde
-from jumpkit.impulse import default_target_grid
 
 
 def constant(v):
@@ -46,7 +45,7 @@ def quiet_problem(**overrides):
     return ImpulseProblem(**defaults)
 
 
-TARGETS = default_target_grid(-6.0, 6.0)
+TARGETS = np.linspace(-6.0, 6.0, 401)
 
 
 def square(x):

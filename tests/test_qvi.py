@@ -12,6 +12,8 @@ from jumpkit import (
     synthesize_policy,
     verify_value,
 )
+from jumpkit.calculus import ScalarField, generator_apply
+from jumpkit.distributions import Discrete
 from jumpkit.errors import ParameterError
 from jumpkit.impulse import (
     CandidateValue,
@@ -20,6 +22,7 @@ from jumpkit.impulse import (
     minimize_over_targets,
 )
 from jumpkit.qvi import _assemble_operator
+from jumpkit.sde import JumpDiffusionSpec
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,10 @@ def test_history_counts_what_the_stopping_rule_sees(solution):
     assert flips[-1] == 0 and min(flips[:-1]) > 0
 
 
+def _benchmark_operator(x, params):
+    return _assemble_operator(x, make_benchmark_problem(params).dynamics, params.discount)
+
+
 def _frozen_obstacle_solve(params, max_sweeps=200):
     """Reference loop: M psi frozen within each sweep, action rows pinned to it.
 
@@ -98,7 +105,7 @@ def _frozen_obstacle_solve(params, max_sweeps=200):
     """
     x = np.linspace(params.grid_lo, params.grid_hi,
                     int(round((params.grid_hi - params.grid_lo) / params.grid_step)) + 1)
-    operator = _assemble_operator(x, params)
+    operator = _benchmark_operator(x, params)
     c, kappa = params.fixed_cost, params.proportional_cost
     psi = params.uncontrolled_value(x)
     active_prev = np.zeros(x.size, dtype=bool)
@@ -143,7 +150,7 @@ def test_converged_iterate_is_a_fixed_point_of_the_dense_operator():
     dense, _ = minimize_over_targets(
         lambda w: np.interp(w, x, psi),
         lambda y, z: params.fixed_cost + params.proportional_cost * np.abs(z), x, x)
-    defect = np.minimum(x**2 - _assemble_operator(x, params) @ psi, dense - psi)
+    defect = np.minimum(x**2 - _benchmark_operator(x, params) @ psi, dense - psi)
     dj = int(round(params.jump_size / params.grid_step))
     assert np.max(np.abs(defect[dj + 1:x.size - dj - 1])) <= 1e-6
 
@@ -154,11 +161,35 @@ def test_operator_on_a_quadratic():
     params = BenchmarkParams(grid_step=0.05)
     x = np.linspace(params.grid_lo, params.grid_hi, 241)
     dj = int(round(params.jump_size / params.grid_step))
-    applied = _assemble_operator(x, params) @ x**2
+    applied = _benchmark_operator(x, params) @ x**2
     expected = ((params.discount - 2 * params.drift_rate) * x**2 - params.sigma**2
                 - params.jump_intensity * params.jump_size**2)
     np.testing.assert_allclose(applied[dj + 1:-dj - 1], expected[dj + 1:-dj - 1],
                                rtol=0.0, atol=1e-9)
+
+
+def test_operator_follows_any_spec():
+    # asymmetric compensated lattice marks, mean-reverting drift and
+    # state-dependent diffusion: B F = rho F - L F up to the O(h^2) error of
+    # the central differences, a quarter of it each time h halves
+    h0, rho = 0.1, 0.9
+    spec = JumpDiffusionSpec(
+        drift=lambda t, x: 0.5 * (0.3 - x),
+        diffusion=lambda t, x: 0.4 + 0.1 * np.asarray(x, dtype=float) ** 2,
+        jump_intensity=1.2,
+        mark_distribution=Discrete([-2 * h0, 3 * h0], [0.7, 0.3]),
+        compensated=True,
+    )
+    field = ScalarField.from_polynomial([0.3, -0.2, 0.5, 0.1, 0.05])
+    errors = []
+    for h in (h0, h0 / 2, h0 / 4):
+        x = np.linspace(-4.0, 4.0, int(round(8.0 / h)) + 1)
+        applied = _assemble_operator(x, spec, rho) @ field.value(0.0, x)
+        exact = rho * field.value(0.0, x) - generator_apply(spec, field, 0.0, x)
+        clear = np.abs(x) <= 2.0  # every jump target stays on the grid
+        errors.append(np.max(np.abs(applied - exact)[clear]))
+    assert errors[0] < 1e-2
+    np.testing.assert_allclose(np.array(errors[:-1]) / errors[1:], 4.0, rtol=0.05)
 
 
 def test_grid_refinement():

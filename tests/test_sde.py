@@ -6,6 +6,7 @@ from jumpkit import (
     Exponential,
     JumpDiffusionSpec,
     NumericalBlowupError,
+    NumericalError,
     ParameterError,
     RenewalSpec,
     derive_stream,
@@ -123,6 +124,19 @@ def test_jump_times_on_grid(stream):
         assert path.times[rec.index] == rec.time
         # applied size recorded at the node
         assert abs(path.states[rec.index] - path.pre_states[rec.index] - rec.size) < 1e-12
+
+
+def test_validate_raises_on_a_corrupted_state(stream):
+    # a check that raises, not an assert, so it holds under python -O too
+    spec = JumpDiffusionSpec(
+        drift=constant(0.0), diffusion=constant(0.1),
+        jump_intensity=5.0, mark_distribution=symmetric_pair(0.3), compensated=False,
+    )
+    path = simulate_jump_diffusion(spec, 0.0, 2.0, 0.05, stream)
+    path.validate()
+    path.states[path.jumps[0].index] += 0.3
+    with pytest.raises(NumericalError, match="left limit"):
+        path.validate()
 
 
 def test_blowup_raises(stream):
