@@ -102,6 +102,14 @@ def _number(value, name):
         raise ConfigError(f"field {name} is out of float range") from None
 
 
+def _flag(doc, field, default):
+    """A config flag: JSON ``true`` or ``false`` only."""
+    value = doc.get(field, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {field} must be true or false, not {type(value).__name__}")
+    return value
+
+
 def _require_number(doc, field, ctx=""):
     return _number(_require(doc, field, ctx=ctx), ctx + field)
 
@@ -239,7 +247,7 @@ def _run_simulate(params, stream):
         jump_intensity=_number(params.get("jump_intensity", 0.0), "jump_intensity"),
         mark_distribution=_make_distribution(params["marks"], "marks.")
         if "marks" in params else None,
-        compensated=bool(params.get("compensated", False)),
+        compensated=_flag(params, "compensated", False),
     )
     path = simulate_jump_diffusion(spec, x0, horizon, dt, stream)
     jump_idx = {rec.index for rec in path.jumps}
@@ -334,8 +342,8 @@ def _run_renewal_check(params, stream):
 def _run_pattern_expect(params, stream):
     pattern = Pattern(tuple(_symbol(s, "pattern") for s in _require(params, "pattern", list)))
     source = _make_source(_require(params, "source", dict))
-    closed_form = bool(params.get("closed_form", True))
-    strict = bool(params.get("strict", True))
+    closed_form = _flag(params, "closed_form", True)
+    strict = _flag(params, "strict", True)
     entries = []
     if closed_form:
         if isinstance(source, MarkovChain):

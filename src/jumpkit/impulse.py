@@ -426,19 +426,9 @@ def synthesize_policy(problem, candidate, region_tol=1e-4):
     if not np.any(inside):
         raise DegeneratePolicyError("the continuation region is empty")
 
-    intervals = []
-    i = 0
-    n = x.size
-    while i < n:
-        if inside[i]:
-            j = i
-            while j + 1 < n and inside[j + 1]:
-                j += 1
-            intervals.append((float(x[i]), float(x[j])))
-            i = j + 1
-        else:
-            i += 1
-    intervals = tuple(intervals)
+    # the padded mask changes at the first node of every run and one past its last
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False]))))
+    intervals = tuple((float(x[i]), float(x[j - 1])) for i, j in zip(edges[::2], edges[1::2]))
 
     exterior = ~inside
     policy = ImpulsePolicy(

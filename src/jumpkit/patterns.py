@@ -9,6 +9,11 @@ Two independent routes to every expected waiting time:
   no overlap hypotheses and is the arbiter whenever the closed forms do
   not apply.
 
+One string matcher serves the layer: the prefix function
+``failure_function`` and the matching automaton ``_transition_table``
+built from it (Knuth, Morris & Pratt).  Overlaps, border chains,
+carry-over and containment between patterns are all read from them.
+
 One builder, ``_source_automaton``, makes the matching automaton for
 iid and Markov sources alike: its states pair the matched length of
 every pattern with the source row, so the same table serves the oracle
@@ -23,6 +28,7 @@ first-occurrence time, which is how the automaton cross-checks them.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,9 +70,6 @@ class Pattern:
     def overlap(self):
         return overlap_size(self)
 
-    def prefix(self, length):
-        return Pattern(self.symbols[:length], alphabet=self.alphabet)
-
 
 def _symbols(pattern):
     return pattern.symbols if isinstance(pattern, Pattern) else tuple(pattern)
@@ -80,12 +83,8 @@ def overlap_size(pattern):
     >>> overlap_size((1, 1, 1))
     2
     """
-    xs = _symbols(pattern)
-    m = len(xs)
-    for k in range(m - 1, 0, -1):
-        if xs[:k] == xs[m - k:]:
-            return k
-    return 0
+    fail = failure_function(pattern)
+    return fail[-1] if fail else 0
 
 
 def failure_function(pattern):
@@ -109,20 +108,21 @@ def border_chain(pattern):
     >>> border_chain((1, 0, 1, 0, 1, 0))
     [6, 4, 2]
     """
-    xs = _symbols(pattern)
+    fail = failure_function(pattern)
     chain = []
-    length = len(xs)
+    length = len(fail)
     while length > 0:
         chain.append(length)
-        length = overlap_size(xs[:length])
+        length = fail[length - 1]
     return chain
 
 
 def _check_overlap_hypothesis(pattern):
     """The closed forms require the overlap prefix itself to be overlap-free."""
     xs = _symbols(pattern)
-    k = overlap_size(xs)
-    if k > 0 and overlap_size(xs[:k]) > 0:
+    fail = failure_function(xs)
+    k = fail[-1]
+    if k > 0 and fail[k - 1] > 0:
         raise HypothesisViolationError(
             f"pattern {xs} has overlap {k} whose prefix overlaps again; "
             "the two-term closed form does not apply (use the automaton oracle "
@@ -238,21 +238,10 @@ def mean_hitting_times(matrix, target):
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
-    # reachability: walk the reversed edges from the target
-    seen = {target}
-    frontier = [target]
-    adj = matrix > 0
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in range(n):
-                if adj[i, j] and i not in seen:
-                    seen.add(i)
-                    nxt.append(i)
-        frontier = nxt
-    if len(seen) < n:
+    reach = _reaching(matrix > 0, np.eye(n, dtype=bool)[target])
+    if not reach.all():
         raise HypothesisViolationError(
-            f"target state {target} unreachable from states {sorted(set(range(n)) - seen)}"
+            f"target state {target} unreachable from states {np.flatnonzero(~reach).tolist()}"
         )
     a = np.eye(n) - matrix
     a[target, :] = 0.0
@@ -264,6 +253,16 @@ def mean_hitting_times(matrix, target):
     if resid > 1e-10 * max(1.0, np.max(np.abs(mu))):
         raise NumericalError("hitting-time solve failed its residual check")
     return mu
+
+
+def _reaching(edge, goal):
+    """States with a path along ``edge[i, j]`` into the boolean mask ``goal``."""
+    reach = goal
+    while True:
+        grown = reach | edge[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def _as_source(source):
@@ -368,13 +367,8 @@ def _absorb(table, law, winner, n_winners):
     a = np.eye(n)
     np.subtract.at(a, (np.arange(n)[:, None], table), law)
     edge = a != np.eye(n)
-    live, seen = winner >= 0, np.arange(n) == 0
-    for _ in range(n):  # grow both sets to their fixed points
-        grown_live = live | edge[:, live].any(axis=1)
-        grown_seen = seen | edge[seen].any(axis=0)
-        if np.array_equal(grown_live, live) and np.array_equal(grown_seen, seen):
-            break
-        live, seen = grown_live, grown_seen
+    live = _reaching(edge, winner >= 0)
+    seen = _reaching(edge.T, np.arange(n) == 0)  # the states that state 0 reaches
     if not live[0]:
         return np.zeros(n_winners), np.inf
     solve = live & (winner < 0)
@@ -389,19 +383,30 @@ def _absorb(table, law, winner, n_winners):
 
 
 def _transition_table(pattern, alphabet):
-    """delta[j, y]: new matched length after symbol y at matched length j."""
+    """delta[j, y]: new matched length after symbol y at matched length j.
+
+    The matched length is the longest suffix of the symbols read that is
+    a prefix of the pattern; row m continues from the longest border.
+    """
     xs = _symbols(pattern)
     m = len(xs)
     fail = failure_function(xs)
     table = np.zeros((m + 1, len(alphabet)), dtype=np.int64)
-    for j in range(m):
+    for j in range(m + 1):
         for yi, y in enumerate(alphabet):
-            k = j
-            while k > 0 and xs[k] != y:
-                k = fail[k - 1]
-            table[j, yi] = k + 1 if xs[k] == y else 0
-    table[m, :] = m
+            if j < m and xs[j] == y:
+                table[j, yi] = j + 1
+            elif j > 0:
+                table[j, yi] = table[fail[j - 1], yi]
     return table
+
+
+def _matched_lengths(target, observed):
+    """Matched length of ``target`` after each prefix of ``observed``, shortest first."""
+    t, o = _symbols(target), _symbols(observed)
+    alphabet = tuple(dict.fromkeys(t + o))
+    table = _transition_table(t, alphabet)
+    return list(accumulate(o, lambda j, y: int(table[j, alphabet.index(y)]), initial=0))
 
 
 def _source_automaton(patterns, source, start_progress, start_row):
@@ -475,19 +480,14 @@ def automaton_expected_time(pattern, source, start_progress=0, last_symbol=None)
 def carryover_progress(target, observed):
     """Matched length of ``target`` right after ``observed`` completes.
 
-    The longest suffix of ``observed`` that is a prefix of ``target``;
-    identical patterns fall back to their border, matching an automaton
-    restart after a completed occurrence.
+    The state of ``target``'s matching automaton after reading
+    ``observed``; identical patterns fall back to their border, matching
+    an automaton restart after a completed occurrence.
     """
-    t = _symbols(target)
-    o = _symbols(observed)
-    same = t == o
-    for length in range(min(len(t), len(o)), 0, -1):
-        if length == len(t) and same:
-            continue  # a full self-match restarts at the border instead
-        if o[len(o) - length:] == t[:length]:
-            return length
-    return 0
+    t, o = _symbols(target), _symbols(observed)
+    if t == o:
+        return overlap_size(t)
+    return _matched_lengths(t, o)[-1]
 
 
 def conditional_expected_time(target, observed, source):

@@ -27,6 +27,7 @@ from .patterns import (
     Pattern,
     _absorb,
     _as_source,
+    _matched_lengths,
     _source_automaton,
     automaton_expected_time,
     conditional_expected_time,
@@ -107,7 +108,7 @@ def race_solve(patterns, source, initial_state=None):
     if m < 2:
         raise ParameterError("a race needs at least two patterns")
     for inner, outer in permutations([p.symbols for p in patterns], 2):
-        if any(outer[i:i + len(inner)] == inner for i in range(len(outer))):
+        if len(inner) in _matched_lengths(inner, outer):
             raise HypothesisViolationError(
                 f"pattern {inner} occurs inside pattern {outer}; the race system needs "
                 "patterns none of which contains another (simulate_pattern_race does not)")
@@ -173,16 +174,19 @@ def _check_against_conditional_system(probs, expected_min, expected, conditional
         raise NumericalError("race solve failed its residual check")
     system = [(sol[k], probs[k]) for k in range(m - 1)] + [(sol[m - 1], expected_min)]
     if m == 2:
-        closed_p1 = (expected[1] + conditional[0, 1] - expected[0]) / (
-            conditional[1, 0] + conditional[0, 1]
-        )
-        system += [(closed_p1, probs[0]),
-                   (expected[1] - conditional[1, 0] * closed_p1, expected_min)]
+        closed_p1, closed_min = _two_pattern_closed_form(expected, conditional)
+        system += [(closed_p1, probs[0]), (closed_min, expected_min)]
     for check, value in system:
         if abs(check - value) > _AGREE * max(1.0, abs(value)):
             raise NumericalError(
                 f"race solution {float(value)!r} disagrees with the conditional system "
                 f"({float(check)!r})")
+
+
+def _two_pattern_closed_form(expected, conditional):
+    """(P_1, E[T_min]) of a two-pattern race from its waiting times."""
+    p1 = (expected[1] + conditional[0, 1] - expected[0]) / (conditional[1, 0] + conditional[0, 1])
+    return p1, expected[1] - conditional[1, 0] * p1
 
 
 def run_race_probability(n, m, p):
@@ -377,10 +381,7 @@ def alternating_run_race_report(n, m, p, n_trials, stream):
 
     race = race_solve([alternating, runs], source)
     e_alt, e_runs = race.expected_times
-    e_alt_after_runs = race.conditional_times[0, 1]
-    e_runs_after_alt = race.conditional_times[1, 0]
-    closed_p1 = (e_runs + e_alt_after_runs - e_alt) / (e_runs_after_alt + e_alt_after_runs)
-    closed_min = e_runs - e_runs_after_alt * closed_p1
+    closed_p1, closed_min = _two_pattern_closed_form(race.expected_times, race.conditional_times)
 
     simulated = simulate_pattern_race([alternating, runs], source, n_trials, stream)
     decomposition = conditional_decomposition_probabilities(n, m, p)

@@ -299,6 +299,14 @@ def _with_parameters(doc, **changes):
     return {**doc, "parameters": {**doc["parameters"], **changes}}
 
 
+EXPECT_DOC = {
+    "kind": "pattern-expect",
+    "seed": 3,
+    "parameters": {"pattern": [1, 1],
+                   "source": {"type": "iid", "symbols": [0, 1], "probs": [0.5, 0.5]}},
+}
+
+
 @pytest.mark.parametrize("doc", [
     _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"fixed_cost": "x"}),
     _with_parameters(IMPULSE_VERIFY_DOC, benchmark={"fixed_cost": [1]}),
@@ -314,9 +322,14 @@ def _with_parameters(doc, **changes):
     _with_parameters(RACE_DOC, n_trials="many"),
     _with_parameters(SIMULATE_DOC, jump_intensity="x"),
     _with_parameters(SIMULATE_DOC, dt=10**330),
+    # flags take only JSON true or false
+    _with_parameters(EXPECT_DOC, closed_form="no"),
+    _with_parameters(EXPECT_DOC, strict=1),
+    _with_parameters(SIMULATE_DOC, compensated="false"),
 ], ids=["benchmark-str", "benchmark-list", "benchmark-bool", "y0-str", "alternative-str",
         "verify-dt-huge-int", "iid-probs-str", "markov-entry-str", "markov-ragged",
-        "n-trials-str", "jump-intensity-str", "simulate-dt-huge-int"])
+        "n-trials-str", "jump-intensity-str", "simulate-dt-huge-int",
+        "closed-form-str", "strict-int", "compensated-str"])
 def test_wrong_typed_numbers_exit_code(tmp_path, capsys, doc):
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2

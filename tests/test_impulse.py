@@ -216,6 +216,33 @@ def test_synthesize_symmetric_problem_gives_odd_impulse():
         assert policy.impulse(y) == pytest.approx(-policy.impulse(-y), abs=1e-6)
 
 
+def _continuation_runs(inside, x):
+    """Reference: the runs of ``inside`` by a plain scan."""
+    intervals = []
+    i = 0
+    while i < x.size:
+        if inside[i]:
+            j = i
+            while j + 1 < x.size and inside[j + 1]:
+                j += 1
+            intervals.append((float(x[i]), float(x[j])))
+            i = j + 1
+        else:
+            i += 1
+    return tuple(intervals)
+
+
+def test_synthesize_two_wells_matches_a_plain_run_scan():
+    x = np.linspace(-4.0, 4.0, 801)
+    cand = CandidateValue(x=x, values=0.25 * (x**2 - 4.0) ** 2, discount=1.0)
+    problem = quiet_problem()
+    policy = synthesize_policy(problem, cand, region_tol=1e-6)
+    m_vals, _ = minimize_over_targets(
+        cand.psi, lambda x, z: problem.intervention_cost(0.0, x, z), x, x)
+    assert len(policy.intervals) == 2
+    assert policy.intervals == _continuation_runs(m_vals - cand.values > 1e-6, x)
+
+
 def test_synthesize_degenerate_region():
     x = np.linspace(-1.0, 1.0, 101)
     cand = CandidateValue(x=x, values=np.full_like(x, 5.0), discount=1.0)

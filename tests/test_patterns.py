@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from jumpkit import (
     stationary_distribution,
 )
 from jumpkit.errors import HypothesisViolationError, ParameterError
+from jumpkit.patterns import _check_overlap_hypothesis, _matched_lengths, _transition_table
 
 FAIR = {0: 0.5, 1: 0.5}
 
@@ -43,6 +46,73 @@ def test_failure_function_classic():
 
 def test_border_chain_alternating():
     assert border_chain((1, 0) * 3) == [6, 4, 2]
+
+
+# naive scans, the oracles of the prefix-function matcher
+
+
+def _naive_overlap(xs):
+    m = len(xs)
+    for k in range(m - 1, 0, -1):
+        if xs[:k] == xs[m - k:]:
+            return k
+    return 0
+
+
+def _naive_border_chain(xs):
+    chain = []
+    length = len(xs)
+    while length > 0:
+        chain.append(length)
+        length = _naive_overlap(xs[:length])
+    return chain
+
+
+def _naive_suffix_prefix(target, observed):
+    """Longest suffix of ``observed`` that is a prefix of ``target``."""
+    for length in range(min(len(target), len(observed)), 0, -1):
+        if observed[len(observed) - length:] == target[:length]:
+            return length
+    return 0
+
+
+def _naive_carryover(target, observed):
+    return _naive_overlap(target) if target == observed else _naive_suffix_prefix(target, observed)
+
+
+def _naive_contains(outer, inner):
+    return any(outer[i:i + len(inner)] == inner for i in range(len(outer)))
+
+
+def _words(alphabet, max_len):
+    """Every sequence up to ``max_len`` symbols, the empty one included."""
+    return [w for m in range(max_len + 1) for w in product(alphabet, repeat=m)]
+
+
+@pytest.mark.parametrize("alphabet,max_len", [((0, 1), 8), ((0, 1, 2), 5)])
+def test_matcher_agrees_with_naive_scans_on_every_pattern(alphabet, max_len):
+    for xs in _words(alphabet, max_len):
+        assert overlap_size(xs) == _naive_overlap(xs), xs
+        assert border_chain(xs) == _naive_border_chain(xs), xs
+        k = _naive_overlap(xs)
+        if k > 0 and _naive_overlap(xs[:k]) > 0:
+            with pytest.raises(HypothesisViolationError):
+                _check_overlap_hypothesis(xs)
+        elif xs:
+            _check_overlap_hypothesis(xs)
+        table = _transition_table(xs, alphabet)
+        for j in range(len(xs) + 1):
+            row = [_naive_suffix_prefix(xs, xs[:j] + (y,)) for y in alphabet]
+            assert table[j].tolist() == row, (xs, j)
+
+
+def test_matcher_agrees_with_naive_scans_on_every_pair():
+    words = _words((0, 1), 5)
+    for target, observed in product(words, repeat=2):
+        assert carryover_progress(target, observed) == _naive_carryover(target, observed)
+        if target:  # race patterns are nonempty
+            contained = len(target) in _matched_lengths(target, observed)
+            assert contained == _naive_contains(observed, target), (target, observed)
 
 
 def test_pattern_validation():
