@@ -322,6 +322,8 @@ def _run_renewal_check(params, stream):
     elif check == "renewal-equation":
         dist = _make_distribution(_require(params, "interarrival", dict), "interarrival.")
         rate = _number(params.get("f_decay_rate", 1.0), "f_decay_rate")
+        if not rate > 0:  # exp(-rate s) is integrable only for a positive rate
+            raise ConfigError(f"field f_decay_rate must be positive, got {rate!r}")
         t_max = _require_number(params, "t_max")
         step = _require_number(params, "step")
         sol = rq.solve_renewal_equation(dist.cdf, lambda s: np.exp(-rate * s), t_max, step)

@@ -371,7 +371,12 @@ def qvi_residual(problem, candidate):
     The sup norm excludes the nodes within one jump reach plus two grid
     steps of the grid ends (one-sided interpolation stencils); all nodes
     are still reported.  M phi searches 401 uniform targets over the grid.
+    A candidate whose ``discount`` is not the problem's raises
+    :class:`ParameterError`.
     """
+    if candidate.discount != problem.discount:
+        raise ParameterError(f"candidate discount {candidate.discount!r} is not the "
+                             f"problem's {problem.discount!r}")
     x = candidate.x
     run, kost = _stationary_cost(problem)
     field = candidate.as_scalar_field()

@@ -128,6 +128,9 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
       * ``random_walk`` -- E[visits of the walk to (t, t+a]] where steps
                            follow the interarrival law (mean must be
                            positive, sign-unrestricted), limit a / mu
+
+    ``lattice`` and ``random_walk`` draw undelayed paths, so they raise
+    :class:`HypothesisViolationError` on a spec that declares a delay.
     """
     if a <= 0:
         raise ParameterError("a must be positive")
@@ -148,6 +151,8 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
         c = spec.lattice_period
         if c <= 0:
             raise HypothesisViolationError("lattice mode requires a declared period")
+        if spec.delay is not None:
+            raise HypothesisViolationError("lattice mode draws undelayed paths; drop the delay")
         n_epoch = max(1, int(round(t / c)))
 
         def _one(sub, _i):
@@ -173,6 +178,9 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
     elif mode == "random_walk":
         if mu <= 0:
             raise HypothesisViolationError("random-walk mode requires positive step mean")
+        if spec.delay is not None:
+            raise HypothesisViolationError("random-walk mode draws undelayed walks; "
+                                           "drop the delay")
         hi = t + a
 
         def _one(sub, _i):
@@ -207,10 +215,14 @@ def wald_check(spec, t, n_paths, stream):
     """Both sides of the stopped-sum identity at the stopping time N(t) + 1.
 
     Returns estimates of E[sum of the first N(t)+1 gaps] and of
-    E[N(t)+1] * mu; the identity says they agree.
+    E[N(t)+1] * mu; the identity says they agree.  The paths are
+    undelayed, so a spec that declares a delay raises
+    :class:`HypothesisViolationError`.
     """
     if t <= 0:
         raise ParameterError("t must be positive")
+    if spec.delay is not None:
+        raise HypothesisViolationError("wald_check draws undelayed paths; drop the delay")
     mu = spec.mean
 
     def _one(sub, _i):

@@ -70,7 +70,8 @@ def solve_renewal_equation(cdf, f, t_max, delta):
     cdf : callable
         Interarrival cdf, evaluated on the uniform grid.
     f : callable
-        Riemann-integrable function convolved against dm.
+        Riemann-integrable function convolved against dm; a value that is
+        not finite on the grid raises :class:`ParameterError`.
     t_max, delta : float
         Grid extent and spacing.  The grid must effectively cover the
         support of the interarrival law; the mean is computed as the
@@ -82,6 +83,8 @@ def solve_renewal_equation(cdf, f, t_max, delta):
     """
     times, m = _mean_process_grid(cdf, t_max, delta)
     f_vals = np.asarray(f(times), dtype=float)
+    if not np.all(np.isfinite(f_vals)):
+        raise ParameterError("f must be finite at every grid node")
 
     mu = float(np.trapezoid(1.0 - np.asarray(cdf(times), dtype=float), times))
     if mu <= 0:

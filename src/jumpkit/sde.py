@@ -33,6 +33,10 @@ base-step normal goes unused.  The k-th jumps of all jumping paths share
 one masked sub-step, so time-varying coefficients may receive an array of
 sub-step times in ``t``; callables must act elementwise.
 
+One event step (Euler update, integral rule, node record and blowup
+check) reaches every node, jump instant or grid node alike; at a jump
+instant the jump then acts on the left limit it leaves.
+
 Memory is bounded whatever the number of paths: lanes are stepped in runs
 of at most ``_MAX_RUN_PATHS`` paths, and a run holds the normals of about
 ``_NOISE_CHUNK`` path-steps at a time.  A grid finer than ``MAX_STEPS``
@@ -316,6 +320,11 @@ def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
     ``integrand(t, x)`` is integrated per path by the trapezoid rule on
     (post-event left, pre-event right) values if ``trapezoid``, else at
     post-event left points.  Returns one :class:`_LaneResult` per lane.
+
+    One event step (Euler update, integral rule, node record and blowup
+    check) serves the paths of a jump round at their jump instants and the
+    whole batch at a grid node, where a path that jumped in the step steps
+    from its last jump.
     """
     h, ends = _uniform_grid(horizon, dt)
     options = dict(intervention_cost=intervention_cost, max_interventions=max_interventions,
@@ -374,9 +383,8 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
 
     x = np.full(size, float(x0))
     integral, left = np.zeros(size), np.zeros(size)  # left: integrand after the latest node
-    peak, size_now = np.zeros(size), np.empty(size)
+    peak = np.zeros(size)
     n_int = np.zeros(size, dtype=np.int64)
-    t_base, h_base = np.empty(size), np.empty(size)  # per-path base step where paths jump
     logs = [_PathLog(float(x0)) for _ in range(size)] if record else None
 
     policed = policies[0] is not None
@@ -410,24 +418,50 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
         first = at[pair_lane[j0:j1], pair_step[j0:j1] - k0] + pair_skip[j0:j1]
         return noise[at.T[:, lane_of] + local], noise, first, first + pair_sub[j0:j1] - 1, j0
 
-    def _log_nodes(paths, t1, xs, h1):
-        if np.ndim(h1) == 0:  # a plain step of every path
-            for log, xp in zip(logs, xs.tolist()):
-                log.node(t1, xp)
-            return
-        for p, tp, xp, hp in np.broadcast(paths, t1, xs, h1):
-            if hp > 0:
-                logs[p].node(tp, xp)
+    def _advance(sel, t0, h0, root, z, t1):
+        """Event step of the paths ``sel`` from ``t0`` by ``h0`` to ``t1``; returns their states.
 
-    def _apply_policy(idx, t, xs):
-        """Impulse the paths ``idx`` (None: all), at ``xs``, that lie outside D at time(s) ``t``."""
-        bounds = (lower, upper) if idx is None else (lower[:, idx], upper[:, idx])
-        inside = in_intervals(xs, *bounds)
+        ``sel`` is a jump round's index array, or ``slice(None)``: the whole
+        batch, stepped in place on a view of ``x``.  Only a step of positive
+        length records a node (a jump at the step end leaves an empty tail).
+        """
+        xs = x[sel]
+        # both coefficients read the state before the step; xs changes after
+        drift = spec.effective_drift(t0, xs) * h0
+        shock = spec.diffusion(t0, xs) * root * z
+        xs += drift
+        xs += shock
+        if integrand is not None:
+            right = integrand(t1, xs)
+            seg = left[sel]
+            if trapezoid:
+                seg += right
+            seg *= 0.5 * h0 if trapezoid else h0
+            integral[sel] += seg
+            left[sel] = right
+        if logs is not None:
+            for p, tp, xp, hp in np.broadcast(rows[sel], t1, xs, h0):
+                if hp > 0:
+                    logs[p].node(tp, xp)
+        return xs
+
+    def _blowup(xs, t1):
+        """|xs|, after refusing a state past ``BLOWUP_THRESHOLD`` (or NaN) at time(s) ``t1``."""
+        size_now = np.abs(xs)
+        worst = size_now.max()
+        if not worst <= BLOWUP_THRESHOLD:
+            when = float(np.broadcast_to(t1, xs.shape)[~(size_now <= BLOWUP_THRESHOLD)][0])
+            raise NumericalBlowupError(f"a path blew up to {float(worst)!r} at t={when}",
+                                       time=when)
+        return size_now
+
+    def _apply_policy(sel, t, xs):
+        """Impulse the paths ``sel``, at ``xs``, that lie outside D at time(s) ``t``."""
+        inside = in_intervals(xs, lower[:, sel], upper[:, sel])
         if inside.all():
             return
         out = ~inside
-        hit, t_hit, before = rows[out] if idx is None else idx[out], \
-            t[out] if np.ndim(t) else t, xs[out]
+        hit, t_hit, before = rows[sel][out], t[out] if np.ndim(t) else t, xs[out]
         hit_lane = lane_of[hit]
         z = np.empty(hit.size)
         # hit ascends and a lane's rows are contiguous, so each lane's hits form one run
@@ -454,15 +488,10 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
         if integrand is not None:
             left[hit] = integrand(t_hit, after)
 
-    def _jump_substeps(lo, hi, n_rounds, t, noise, first, last):
-        """Step pairs ``lo:hi`` through their jumps; returns their tail normals.
-
-        Sets every path's base step in ``t_base`` and ``h_base``: from its
-        last jump for the pairs' paths, the whole step for the others.
-        """
-        jumpers, count = pair_path[lo:hi], pair_count[lo:hi]
+    def _jump_substeps(lo, hi, n_rounds, t, noise, first):
+        """Step the paths of pairs ``lo:hi`` from ``t`` through their jumps."""
+        sel, at, nrm, now, count = pair_path[lo:hi], pair_at[lo:hi], first, t, pair_count[lo:hi]
         # the r-th jumps of all paths that have one share a masked sub-step
-        sel, at, nrm, now = jumpers, pair_at[lo:hi], first, t
         for r in range(n_rounds):
             if r:
                 more = count > r
@@ -470,20 +499,11 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
                     count[more]
             tau, marks = jump_t[at], jump_z[at]
             h1 = tau - now
-            xs = x[sel]
-            xs = xs + spec.effective_drift(now, xs) * h1 \
-                + spec.diffusion(now, xs) * np.sqrt(h1) * noise[nrm]
-            if integrand is not None:
-                right = integrand(tau, xs)
-                integral[sel] += 0.5 * h1 * (left[sel] + right) if trapezoid else h1 * left[sel]
-            if logs is not None:
-                _log_nodes(sel, tau, xs, h1)
+            xs = _advance(sel, now, h1, np.sqrt(h1), noise[nrm], tau)
             applied = spec.jump_coefficient(tau, xs, marks)
             xs = xs + applied
             x[sel] = xs
-            if not np.abs(xs).max() <= BLOWUP_THRESHOLD:
-                when = float(tau[~(np.abs(xs) <= BLOWUP_THRESHOLD)][0])
-                raise NumericalBlowupError(f"a path blew up at t={when}", time=when)
+            _blowup(xs, tau)
             if logs is not None:
                 for p, tp, mp, sp, xp in np.broadcast(sel, tau, marks, applied, xs):
                     logs[p].jump(tp, mp, sp, xp)
@@ -491,16 +511,10 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
                 left[sel] = integrand(tau, xs)
             if policed:
                 _apply_policy(sel, tau, xs)
-        # the tail to te joins the other paths' base step on the pair's last
-        # normal; a jump exactly at te leaves a zero-length tail, and its
-        # last jump's normal then meets sqrt(0)
-        t_base.fill(t)
-        h_base.fill(h)
-        t_base[jumpers], h_base[jumpers] = pair_last[lo:hi], pair_tail[lo:hi]
-        return noise[last]
 
+    every = slice(None)
     if policed:
-        _apply_policy(None, 0.0, x)
+        _apply_policy(every, 0.0, x)
     if integrand is not None:
         left[:] = integrand(0.0, x)
     ends_list, root_h = ends.tolist(), np.sqrt(h)
@@ -512,36 +526,20 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
             te = ends_list[k]
             if k in groups:
                 lo, hi, n_rounds = groups[k]
-                z[pair_path[lo:hi]] = _jump_substeps(lo, hi, n_rounds, t, noise,
-                                                     first[lo - j0:hi - j0],
-                                                     last[lo - j0:hi - j0])
-                t0, h0, root = t_base, h_base, np.sqrt(h_base)
+                _jump_substeps(lo, hi, n_rounds, t, noise, first[lo - j0:hi - j0])
+                # a jumping path's base step is its tail from its last jump to
+                # te, on the pair's last normal; a jump exactly at te leaves a
+                # zero-length tail, and that normal then meets sqrt(0)
+                jumpers = pair_path[lo:hi]
+                z[jumpers] = noise[last[lo - j0:hi - j0]]
+                t0, h0 = np.full(size, t), np.full(size, h)
+                t0[jumpers], h0[jumpers] = pair_last[lo:hi], pair_tail[lo:hi]
+                root = np.sqrt(h0)
             else:
                 t0, h0, root = t, h, root_h
-            # both coefficients read the state before the step; x changes after
-            drift = spec.effective_drift(t0, x) * h0
-            shock = spec.diffusion(t0, x) * root * z
-            x += drift
-            x += shock
-            if integrand is not None:
-                right = integrand(te, x)
-                if trapezoid:
-                    left += right
-                    left *= 0.5 * h0
-                else:
-                    left *= h0
-                integral += left
-                left[:] = right
-            if logs is not None:
-                _log_nodes(rows, te, x, h0)
-            np.abs(x, out=size_now)
-            worst = size_now.max()
-            if not worst <= BLOWUP_THRESHOLD:
-                raise NumericalBlowupError(f"a path blew up to {float(worst)!r} at t={te}",
-                                           time=te)
-            np.maximum(peak, size_now, out=peak)
+            np.maximum(peak, _blowup(_advance(every, t0, h0, root, z, te), te), out=peak)
             if policed and k + 1 < n_steps:
-                _apply_policy(None, te, x)
+                _apply_policy(every, te, x)
             t = te
 
     lane_peak = np.maximum.reduceat(peak, starts).tolist()

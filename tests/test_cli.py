@@ -482,15 +482,34 @@ def test_overflowing_benchmark_exit_code_in_verify(tmp_path, capsys):
      "MAX_NODES"),
     (_with_parameters(RENEWAL_DOC, check="last-renewal-cdf", t=1.0, s=0.5, step=0),
      "delta must be positive"),
+    # exp(-rate s) is integrable only for a positive rate
+    (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=10.0, step=0.01,
+                      f_decay_rate=0), "f_decay_rate must be positive"),
+    (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=10.0, step=0.01,
+                      f_decay_rate=-1), "f_decay_rate must be positive"),
+    (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=10.0, step=0.01,
+                      f_decay_rate=-1e300), "f_decay_rate must be positive"),
     # the Poisson jump schedule is a renewal sequence and shares its bound
     (_with_parameters(SIMULATE_DOC, jump_intensity=1e15,
                       marks={"type": "discrete", "values": [1.0], "probs": [1.0]}),
      "MAX_ARRIVALS"),
 ], ids=["mean-process", "wald", "blackwell-random-walk", "regenerative", "renewal-equation",
-        "last-renewal-cdf-step-zero", "simulate-jump-intensity"])
+        "last-renewal-cdf-step-zero", "f-decay-rate-zero", "f-decay-rate-negative",
+        "f-decay-rate-huge-negative", "simulate-jump-intensity"])
 def test_oversized_renewal_work_exit_code(tmp_path, capsys, doc, message):
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_lattice_mode_with_a_delay_exit_code(tmp_path, capsys):
+    doc = _with_parameters(RENEWAL_DOC, check="blackwell", mode="lattice", t=10.0, a=1.0,
+                           interarrival={"type": "discrete", "values": [1.0, 2.0],
+                                         "probs": [0.5, 0.5]},
+                           lattice_period=1.0, delay={"type": "exponential", "rate": 1.0})
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 4
+    assert "hypothesis violation" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))

@@ -352,6 +352,28 @@ def test_deterministic_decay_closed_form(stream):
     assert not est.horizon_warning
 
 
+def test_finite_horizon_decay_closed_form(stream):
+    # running and terminal cost x^2 on [0, 1], undiscounted: the Euler path's
+    # error in the cost is O(dt), here below x0^2 a dt
+    a, x0 = 0.7, 1.5
+    problem = quiet_problem(
+        dynamics=JumpDiffusionSpec(drift=lambda t, x: -a * x, diffusion=constant(0.0)),
+        running_cost=lambda t, x: np.asarray(x, dtype=float) ** 2,
+        terminal_cost=lambda t, x: np.asarray(x, dtype=float) ** 2,
+        discount=0.0, horizon=1.0,
+    )
+    target = x0**2 * (1 - np.exp(-2 * a)) / (2 * a) + x0**2 * np.exp(-2 * a)
+    for dt in (1e-2, 1e-3):
+        est = estimate_cost(problem, ImpulsePolicy.never_intervene(), x0, 4, dt, stream)
+        assert est.stderr == 0.0
+        assert abs(est.value - target) <= x0**2 * a * dt
+        assert est.tail_bound == 0.0 and not est.horizon_warning
+    # the problem's own horizon overrides the argument
+    longer = estimate_cost(problem, ImpulsePolicy.never_intervene(), x0, 4, dt, stream,
+                           horizon=5.0)
+    assert longer.horizon == 1.0 and longer.value == est.value
+
+
 def test_horizon_doubling_within_tail_bound(stream):
     rho = 1.0
     problem = quiet_problem(

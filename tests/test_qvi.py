@@ -230,6 +230,13 @@ def test_perturbation_detected(solution, problem):
     assert report.sup_norm > 1e-2
 
 
+def test_residual_refuses_a_candidate_of_another_discount(solution, problem):
+    cand = solution.candidate
+    rewrapped = CandidateValue(x=cand.x, values=cand.values, discount=0.5)
+    with pytest.raises(ParameterError, match="discount"):
+        qvi_residual(problem, rewrapped)
+
+
 def test_band_widens_with_fixed_cost():
     bands = []
     for c in (0.5, 1.0, 2.0):

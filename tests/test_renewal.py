@@ -147,6 +147,18 @@ def test_blackwell_mode_mismatch(stream):
         blackwell_check(spec, 10.0, 1.0, "frobnicate", 10, stream)
 
 
+@pytest.mark.parametrize("check", [
+    lambda spec, stream: blackwell_check(spec, 10.0, 1.0, "lattice", 10, stream),
+    lambda spec, stream: blackwell_check(spec, 10.0, 1.0, "random_walk", 10, stream),
+    lambda spec, stream: wald_check(spec, 10.0, 10, stream),
+], ids=["lattice", "random_walk", "wald"])
+def test_undelayed_estimators_refuse_a_declared_delay(stream, check):
+    spec = RenewalSpec(interarrival=Discrete([1.0, 2.0], [0.5, 0.5]), lattice_period=1.0,
+                       delay=Exponential(1.0))
+    with pytest.raises(HypothesisViolationError, match="delay"):
+        check(spec, stream)
+
+
 def test_wald_deterministic(stream):
     spec = RenewalSpec(interarrival=Deterministic(1.0))
     lhs, rhs = wald_check(spec, 10.5, 200, stream)

@@ -94,3 +94,10 @@ def test_oversized_or_degenerate_grid_refused():
         last_renewal_cdf(Exponential(1.0).cdf, 1.0, 0.5, 0.0)
     with pytest.raises(ParameterError, match="MAX_NODES"):
         solve_renewal_equation(Exponential(1.0).cdf, np.exp, np.nan, 0.01)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_f_not_finite_on_the_grid_refused(value):
+    with pytest.raises(ParameterError, match="finite"):
+        solve_renewal_equation(Exponential(1.0).cdf,
+                               lambda s: np.where(s > 1.0, value, np.exp(-s)), 10.0, 0.01)
