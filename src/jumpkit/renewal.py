@@ -134,6 +134,8 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
     """
     if a <= 0:
         raise ParameterError("a must be positive")
+    if mode in ("lattice", "random_walk") and spec.delay is not None:
+        raise HypothesisViolationError(f"{mode} mode draws undelayed paths; drop the delay")
     mu = spec.mean
     _check_arrivals(t + a, mu)
 
@@ -151,8 +153,6 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
         c = spec.lattice_period
         if c <= 0:
             raise HypothesisViolationError("lattice mode requires a declared period")
-        if spec.delay is not None:
-            raise HypothesisViolationError("lattice mode draws undelayed paths; drop the delay")
         n_epoch = max(1, int(round(t / c)))
 
         def _one(sub, _i):
@@ -178,9 +178,6 @@ def blackwell_check(spec, t, a, mode, n_paths, stream):
     elif mode == "random_walk":
         if mu <= 0:
             raise HypothesisViolationError("random-walk mode requires positive step mean")
-        if spec.delay is not None:
-            raise HypothesisViolationError("random-walk mode draws undelayed walks; "
-                                           "drop the delay")
         hi = t + a
 
         def _one(sub, _i):

@@ -246,9 +246,10 @@ class _PathLog:
         self.times, self.pre, self.post, self.jumps, self.interventions = [0.0], [x0], [x0], [], []
 
     def node(self, t, x):
-        self.times.append(float(t))
-        self.pre.append(float(x))
-        self.post.append(float(x))
+        if t > self.times[-1]:  # a zero-length step (a jump at the step end) adds no node
+            self.times.append(t)
+            self.pre.append(x)
+            self.post.append(x)
 
     def jump(self, t, mark, size, x):
         self.jumps.append(JumpRecord(len(self.times) - 1, float(t), float(mark), float(size)))
@@ -422,8 +423,8 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
         """Event step of the paths ``sel`` from ``t0`` by ``h0`` to ``t1``; returns their states.
 
         ``sel`` is a jump round's index array, or ``slice(None)``: the whole
-        batch, stepped in place on a view of ``x``.  Only a step of positive
-        length records a node (a jump at the step end leaves an empty tail).
+        batch, stepped in place on a view of ``x``.  ``t1`` is a float at a
+        grid node and an array of jump times in a jump round.
         """
         xs = x[sel]
         # both coefficients read the state before the step; xs changes after
@@ -440,20 +441,20 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
             integral[sel] += seg
             left[sel] = right
         if logs is not None:
-            for p, tp, xp, hp in np.broadcast(rows[sel], t1, xs, h0):
-                if hp > 0:
-                    logs[p].node(tp, xp)
+            times = [t1] * xs.size if isinstance(t1, float) else t1.tolist()
+            for p, tp, xp in zip(rows[sel].tolist(), times, xs.tolist()):
+                logs[p].node(tp, xp)
         return xs
 
     def _blowup(xs, t1):
         """|xs|, after refusing a state past ``BLOWUP_THRESHOLD`` (or NaN) at time(s) ``t1``."""
-        size_now = np.abs(xs)
-        worst = size_now.max()
+        magnitude = np.abs(xs)
+        worst = magnitude.max()
         if not worst <= BLOWUP_THRESHOLD:
-            when = float(np.broadcast_to(t1, xs.shape)[~(size_now <= BLOWUP_THRESHOLD)][0])
+            when = float(np.broadcast_to(t1, xs.shape)[~(magnitude <= BLOWUP_THRESHOLD)][0])
             raise NumericalBlowupError(f"a path blew up to {float(worst)!r} at t={when}",
                                        time=when)
-        return size_now
+        return magnitude
 
     def _apply_policy(sel, t, xs):
         """Impulse the paths ``sel``, at ``xs``, that lie outside D at time(s) ``t``."""

@@ -126,6 +126,27 @@ def test_jump_times_on_grid(stream):
         assert abs(path.states[rec.index] - path.pre_states[rec.index] - rec.size) < 1e-12
 
 
+def test_jumps_at_a_grid_node_add_no_node(stream, monkeypatch):
+    # two jumps at the grid node 0.5 and one at 0.75: the zero-length steps
+    # they leave (a second jump at the same time, an empty tail to the step
+    # end) record no node, and every jump acts on the node at its time
+    import jumpkit.sde as sde
+
+    monkeypatch.setattr(sde, "_sample_jump_schedule",
+                        lambda gen, law, marks, horizon: (np.array([0.5, 0.5, 0.75]),
+                                                          np.ones(3)))
+    spec = JumpDiffusionSpec(
+        drift=lambda t, x: -x, diffusion=constant(0.0),
+        jump_intensity=1.0, mark_distribution=Discrete([1.0], [1.0]), compensated=False,
+    )
+    path = simulate_jump_diffusion(spec, 1.0, 1.0, 0.25, stream)
+    path.validate()
+    assert path.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert path.pre_states.tolist() == [1.0, 0.75, 0.5625, 1.921875, 2.19140625]
+    assert path.states.tolist() == [1.0, 0.75, 2.5625, 2.921875, 2.19140625]
+    assert [(rec.index, rec.time) for rec in path.jumps] == [(2, 0.5), (2, 0.5), (3, 0.75)]
+
+
 def test_validate_raises_on_a_corrupted_state(stream):
     # a check that raises, not an assert, so it holds under python -O too
     spec = JumpDiffusionSpec(
