@@ -32,7 +32,6 @@ from .impulse import (
     ValueVerification,
     affine_intervention_operator,
     estimate_cost,
-    intervention_operator,
     minimize_over_targets,
     qvi_residual,
     simulate_controlled,

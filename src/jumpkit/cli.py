@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -390,12 +390,8 @@ def _benchmark_params(params):
     doc = params.get("benchmark", {})
     if not isinstance(doc, dict):
         raise ConfigError("field benchmark must be an object")
-    kwargs = {}
-    for key in ("drift_rate", "sigma", "jump_intensity", "jump_size", "discount",
-                "fixed_cost", "proportional_cost", "grid_lo", "grid_hi", "grid_step"):
-        if key in doc:
-            kwargs[key] = _number(doc[key], f"benchmark.{key}")
-    return BenchmarkParams(**kwargs)
+    return BenchmarkParams(**{f.name: _number(doc[f.name], f"benchmark.{f.name}")
+                              for f in fields(BenchmarkParams) if f.name in doc})
 
 
 def _run_impulse_solve(params, stream):
@@ -421,7 +417,7 @@ def _run_impulse_verify(params, stream):
     bench = _benchmark_params(params)
     n_paths = _n_paths(params)
     dt = _require_number(params, "dt")
-    horizon = _number(params.get("horizon", 14.0 / bench.discount), "horizon")
+    horizon = _number(params["horizon"], "horizon") if "horizon" in params else None
     allowance_coeff = _number(params.get("allowance_coeff", 25.0), "allowance_coeff")
     y0_list = params.get("y0", [0.0])
     if not isinstance(y0_list, list):
@@ -512,9 +508,6 @@ def main(argv=None):
             document = {**document, "workers": args.workers}
         scenario = parse_config(document)
         written = execute_scenario(scenario, args.out, fmt=args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 4

@@ -235,6 +235,7 @@ _COARSE_BLOCK = 256
 _REFINE_TOL = 1e-6  # bracket width at which the golden-section refinement stops
 _N_TARGETS = 401  # nodes of the uniform target grid of qvi_residual
 _BLOCK_SIZE = 256  # paths per block of a cost estimate, one substream each
+_REGION_TOL = 1e-4  # synthesize_policy's continuation nodes have M phi - phi above this
 
 
 def affine_intervention_operator(values, x, fixed, proportional):
@@ -285,7 +286,9 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     Coarse search over ``targets`` (ties resolved toward the smallest
     impulse magnitude), then golden-section refinement of the target
     between the coarse winner's neighbours down to a width of 1e-6.
-    Returns ``(values, best_targets)`` arrays.
+    Returns ``(values, best_targets)`` arrays.  M phi at one point ``y`` is
+    the one-point call ``minimize_over_targets(value_fn, cost_fn, [y],
+    targets)``, and its impulse is the best target minus ``y``.
 
     This is the general search, for any cost and candidate, and the
     oracle for the fast paths: for the cost c + kappa |z| on a
@@ -340,20 +343,6 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     return best_f, best_w
 
 
-def intervention_operator(value_fn, cost_fn, x, targets):
-    """Best single-impulse value M phi(x) and its minimising impulse.
-
-    ``value_fn`` maps positions to candidate values, ``cost_fn(x, z)`` is
-    the intervention cost; both vectorised.  Searched targets falling
-    outside the candidate's domain should be excluded by the caller via
-    the target grid.  Ties go to the smallest impulse magnitude.
-    """
-    if np.ndim(x) != 0:
-        raise ParameterError("intervention_operator is scalar; use minimize_over_targets")
-    values, best = minimize_over_targets(value_fn, cost_fn, [x], targets)
-    return float(values[0]), float(best[0] - x)
-
-
 # ---------------------------------------------------------------------------
 # QVI residual and policy synthesis
 
@@ -363,6 +352,16 @@ def _stationary_cost(problem):
     run = lambda x: problem.running_cost(0.0, x)
     kost = lambda x, z: problem.intervention_cost(0.0, x, z)
     return run, kost
+
+
+def _jump_reach(dynamics):
+    """How far one mark can move the state: the largest |atom| of a
+    discrete mark law, else the larger |end| of a bounded support, else 0."""
+    dist = dynamics.mark_distribution
+    if dist is None:
+        return 0.0
+    ends = dist.values if hasattr(dist, "values") else getattr(dist, "support", 0.0)
+    return float(np.max(np.abs(ends)))
 
 
 def qvi_residual(problem, candidate):
@@ -388,13 +387,7 @@ def qvi_residual(problem, candidate):
     m_vals, _ = minimize_over_targets(candidate.psi, kost, x, targets)
     value_minus = candidate.values - m_vals
 
-    reach = 0.0
-    dist = problem.dynamics.mark_distribution
-    if dist is not None and hasattr(dist, "values"):
-        reach = float(np.max(np.abs(dist.values)))
-    elif dist is not None and hasattr(dist, "support"):
-        reach = float(np.max(np.abs(dist.support)))
-    margin = reach + 2.0 * candidate.step
+    margin = _jump_reach(problem.dynamics) + 2.0 * candidate.step
     interior = (x >= x[0] + margin) & (x <= x[-1] - margin)
     if not np.any(interior):
         raise ParameterError("margin excluded every node from the residual")
@@ -414,20 +407,21 @@ def qvi_residual(problem, candidate):
     )
 
 
-def synthesize_policy(problem, candidate, region_tol=1e-4):
+def synthesize_policy(problem, candidate):
     """Extract the continuation region and impulse map from a candidate.
 
     D is where the candidate is strictly below its intervention value
-    (``M phi - phi > region_tol``; the threshold keeps solver-level noise
-    on the action set from fragmenting the region).  The impulse map on
-    the exterior re-optimises the intervention operator at every exterior
-    node and must land strictly inside D.
+    (``M phi - phi > _REGION_TOL``, 1e-4, read at call time; the threshold
+    keeps solver-level noise on the action set from fragmenting the
+    region).  The impulse map on the exterior re-optimises the
+    intervention operator at every exterior node and must land strictly
+    inside D.
     """
     x = candidate.x
     _, kost = _stationary_cost(problem)
     m_vals, m_targets = minimize_over_targets(candidate.psi, kost, x, x)
     gap = m_vals - candidate.values
-    inside = gap > region_tol
+    inside = gap > _REGION_TOL
     if not np.any(inside):
         raise DegeneratePolicyError("the continuation region is empty")
 
@@ -448,18 +442,17 @@ def synthesize_policy(problem, candidate, region_tol=1e-4):
 # closed-loop simulation and cost estimation
 
 
-def simulate_controlled(problem, policy, y0, horizon, dt, stream,
-                        max_interventions=100_000):
+def simulate_controlled(problem, policy, y0, horizon, dt, stream):
     """One closed-loop path: free dynamics inside D, impulses outside.
 
     The state is checked at every grid and jump time (including t = 0);
     the first check that finds it outside D applies the policy's impulse
-    at that instant.  Exceeding ``max_interventions`` raises
-    :class:`ChatteringError`; landing outside D, :class:`NumericalError`.
+    at that instant.  A path with more than ``sde.MAX_INTERVENTIONS``
+    impulses raises :class:`ChatteringError`; landing outside D,
+    :class:`NumericalError`.
     """
     lane = (stream.generator, 1, policy)
-    return _simulate_batch(problem.dynamics, y0, horizon, dt, [lane],
-                           max_interventions=max_interventions, record=True)[0].paths[0]
+    return _simulate_batch(problem.dynamics, y0, horizon, dt, [lane], record=True)[0].paths[0]
 
 
 @dataclass(frozen=True)
@@ -488,8 +481,7 @@ class CostEstimate:
         return self.estimate.stderr
 
 
-def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
-                  max_interventions=100_000):
+def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None):
     """Estimate the closed-loop objective from ``y0`` by Monte Carlo.
 
     The running cost is accumulated by the trapezoidal rule on the path
@@ -497,17 +489,17 @@ def estimate_cost(problem, policy, y0, n_paths, dt, stream, horizon=None,
     terminal cost is applied only on finite horizons.  Infinite-horizon
     problems are truncated at ``horizon`` (default 14 / discount) and the
     bound ``e^{-rho T} sup running / rho`` is reported; a bound above 1%
-    of the estimate sets ``horizon_warning``.
+    of the estimate sets ``horizon_warning``.  A path with more than
+    ``sde.MAX_INTERVENTIONS`` impulses raises :class:`ChatteringError`.
 
     Paths form fixed blocks of 256, block b on substream b, and the
     blocks are lanes of one kernel run, so the result does not depend on
     how they are stepped.
     """
-    return _estimate_costs(problem, [(policy, stream)], y0, n_paths, dt, horizon=horizon,
-                           max_interventions=max_interventions)[0]
+    return _estimate_costs(problem, [(policy, stream)], y0, n_paths, dt, horizon=horizon)[0]
 
 
-def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, max_interventions=100_000):
+def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None):
     """:func:`estimate_cost` of every ``(policy, stream)`` in ``jobs``, from one kernel run.
 
     Each policy contributes its blocks as lanes, block b on substream b of
@@ -526,7 +518,7 @@ def _estimate_costs(problem, jobs, y0, n_paths, dt, horizon=None, max_interventi
     n_blocks = len(lanes) // len(jobs)
     results = _simulate_batch(
         problem.dynamics, y0, horizon, dt, lanes, intervention_cost=problem.intervention_cost,
-        max_interventions=max_interventions, integrand=problem.running_cost, trapezoid=True)
+        integrand=problem.running_cost, trapezoid=True)
 
     estimates = []
     for j, (policy, _) in enumerate(jobs):

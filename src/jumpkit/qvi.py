@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .distributions import symmetric_pair
 from .errors import NumericalError, ParameterError
-from .impulse import CandidateValue, ImpulseProblem, _affine_envelope
+from .impulse import CandidateValue, ImpulseProblem, _affine_envelope, _jump_reach
 from .sde import JumpDiffusionSpec
 
 # Largest grid accepted: one sparse solve of the default problem peaks near
@@ -220,7 +220,7 @@ def solve_benchmark_qvi(params=None):
         raise NumericalError("benchmark solve produced an empty continuation region")
     idx = np.where(continuation)[0]
     band = (float(x[idx[0]]), float(x[idx[-1]]))
-    dj = int(round(np.max(np.abs(problem.dynamics.mark_distribution.values)) / h))
+    dj = int(round(_jump_reach(problem.dynamics) / h))
     if idx[0] <= dj or idx[-1] >= n - 1 - dj:
         raise NumericalError("continuation band reaches the jump margin; widen the grid")
 

@@ -151,21 +151,15 @@ def _race_automaton(patterns, source, initial_state):
 
 
 def _check_against_conditional_system(probs, expected_min, expected, conditional):
-    """Raise :class:`NumericalError` unless the M x M system agrees."""
+    """Raise :class:`NumericalError` unless the M x M system agrees.
+
+    Row k reads E[T_k] = E[T_min] + sum_j P_j conditional[k, j]; the
+    diagonal of ``conditional`` is zero.
+    """
     m = len(probs)
     # unknowns: (P_1, ..., P_{m-1}, E[T_min]); P_m = 1 - sum of the others
-    a = np.zeros((m, m))
-    b = np.zeros(m)
-    for k in range(m):
-        a[k, m - 1] = 1.0
-        b[k] = expected[k]
-        for j in range(m - 1):
-            if j != k:
-                a[k, j] += conditional[k, j]
-        if k != m - 1:
-            # contribution of P_m = 1 - sum_{j < m} P_j
-            a[k, : m - 1] -= conditional[k, m - 1]
-            b[k] -= conditional[k, m - 1]
+    a = np.column_stack([conditional[:, :m - 1] - conditional[:, m - 1:], np.ones(m)])
+    b = expected - conditional[:, m - 1]
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

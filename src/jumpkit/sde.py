@@ -55,6 +55,7 @@ from .errors import (ChatteringError, DistributionError, NumericalBlowupError, N
 BLOWUP_THRESHOLD = 1e12
 MAX_STEPS = 10_000_000  # grid steps per simulation; more raise ParameterError
 MAX_ARRIVALS = MAX_STEPS  # expected arrivals per path; more raise ParameterError
+MAX_INTERVENTIONS = 100_000  # impulses per controlled path; more raise ChatteringError
 _MAX_RUN_PATHS = 1 << 16  # paths stepped together by one run of the kernel
 _NOISE_CHUNK = 1 << 16  # base normals drawn ahead at a time by one run of the kernel
 _EVENT_ATOL = 1e-9  # relative slack of SamplePath.validate's post - pre = events
@@ -297,8 +298,8 @@ def _uniform_grid(horizon, dt):
     return h, ends
 
 
-def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
-                    max_interventions=None, integrand=None, trapezoid=False, record=False):
+def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None, integrand=None,
+                    trapezoid=False, record=False):
     """Step the paths of ``lanes`` from ``x0`` on ``ceil(horizon / dt)`` uniform steps.
 
     ``lanes`` is an iterable of ``(generator, size, policy)``: ``size``
@@ -317,7 +318,9 @@ def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
     A ``policy`` gives its continuation region as ``bounds()``, open
     intervals tested by :func:`in_intervals`, and its impulses as
     ``impulse(x)``.  It acts at t = 0, interior grid nodes and jump
-    instants, charging ``intervention_cost`` (if given) to the integral.
+    instants, charging ``intervention_cost`` (if given) to the integral;
+    a path's impulse past ``MAX_INTERVENTIONS`` raises
+    :class:`ChatteringError`.
     ``integrand(t, x)`` is integrated per path by the trapezoid rule on
     (post-event left, pre-event right) values if ``trapezoid``, else at
     post-event left points.  Returns one :class:`_LaneResult` per lane.
@@ -328,8 +331,8 @@ def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
     from its last jump.
     """
     h, ends = _uniform_grid(horizon, dt)
-    options = dict(intervention_cost=intervention_cost, max_interventions=max_interventions,
-                   integrand=integrand, trapezoid=trapezoid, record=record)
+    options = dict(intervention_cost=intervention_cost, integrand=integrand,
+                   trapezoid=trapezoid, record=record)
     results, run, run_size = [], [], 0
     for lane in lanes:
         if run and run_size + lane[1] > _MAX_RUN_PATHS:
@@ -342,8 +345,7 @@ def _simulate_batch(spec, x0, horizon, dt, lanes, intervention_cost=None,
     return results
 
 
-def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, integrand,
-                trapezoid, record):
+def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, integrand, trapezoid, record):
     """One run of the kernel over ``lanes``; see :func:`_simulate_batch`."""
     gens = [gen for gen, _, _ in lanes]
     policies = [policy for _, _, policy in lanes]
@@ -424,8 +426,10 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
 
         ``sel`` is a jump round's index array, or ``slice(None)``: the whole
         batch, stepped in place on a view of ``x``.  ``t1`` is a float at a
-        grid node and an array of jump times in a jump round.
+        grid node and an array of jump times in a jump round, which stores
+        ``left`` itself after the jump.
         """
+        at_node = isinstance(t1, float)
         xs = x[sel]
         # both coefficients read the state before the step; xs changes after
         drift = spec.effective_drift(t0, xs) * h0
@@ -439,9 +443,10 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
                 seg += right
             seg *= 0.5 * h0 if trapezoid else h0
             integral[sel] += seg
-            left[sel] = right
+            if at_node:
+                left[sel] = right
         if logs is not None:
-            times = [t1] * xs.size if isinstance(t1, float) else t1.tolist()
+            times = [t1] * xs.size if at_node else t1.tolist()
             for p, tp, xp in zip(rows[sel].tolist(), times, xs.tolist()):
                 logs[p].node(tp, xp)
         return xs
@@ -477,9 +482,9 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, max_interventions, 
         if logs is not None:
             for p, tp, zp, xp in np.broadcast(hit, t_hit, z, after):
                 logs[p].intervention(tp, zp, xp)
-        capped = n_int[hit] > max_interventions
+        capped = n_int[hit] > MAX_INTERVENTIONS
         if capped.any():
-            raise ChatteringError(f"a path exceeded {max_interventions} interventions "
+            raise ChatteringError(f"a path exceeded {MAX_INTERVENTIONS} interventions "
                                   f"by t={np.broadcast_to(t_hit, hit.shape)[capped][0]}")
         landed = in_intervals(after, lower[:, hit], upper[:, hit])
         if not landed.all():

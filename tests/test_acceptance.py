@@ -33,10 +33,10 @@ from jumpkit import (
     estimate_mean_process,
     expected_time_iid,
     expected_time_markov,
-    intervention_operator,
     ito_residual,
     last_renewal_cdf,
     make_benchmark_problem,
+    minimize_over_targets,
     qvi_residual,
     race_solve,
     regenerative_occupancy,
@@ -346,10 +346,11 @@ def test_criterion_8_impulse_control():
     targets = np.linspace(-6.0, 6.0, 401)
     dense = np.linspace(-6.0, 6.0, 2_000_001)
     oracle = float(np.min(dense**2 + 1.0 + np.abs(dense - 1.0)))
-    m_val, zeta = intervention_operator(
+    (m_val,), (w_best,) = minimize_over_targets(
         lambda w: np.asarray(w, dtype=float) ** 2,
-        lambda x, z: 1.0 + np.abs(z), 1.0, targets,
+        lambda x, z: 1.0 + np.abs(z), [1.0], targets,
     )
+    zeta = w_best - 1.0
     assert abs(m_val - oracle) <= 1e-6
     assert abs(m_val - 1.75) <= 1e-9 and abs(zeta + 0.5) <= 1e-6
 

@@ -8,11 +8,11 @@ from jumpkit import (
     CandidateValue,
     affine_intervention_operator,
     Discrete,
+    Uniform,
     ImpulsePolicy,
     ImpulseProblem,
     JumpDiffusionSpec,
     estimate_cost,
-    intervention_operator,
     make_benchmark_problem,
     minimize_over_targets,
     qvi_residual,
@@ -24,7 +24,7 @@ from jumpkit import (
     verify_value,
 )
 from jumpkit.errors import ChatteringError, DegeneratePolicyError, NumericalError, ParameterError
-from jumpkit import sde
+from jumpkit import impulse, sde
 
 
 def constant(v):
@@ -57,19 +57,21 @@ def square(x):
 
 
 def test_free_interventions_reach_the_minimum():
-    m, z = intervention_operator(square, lambda x, z: 0.0 * np.asarray(z), 2.0, TARGETS)
+    (m,), (w,) = minimize_over_targets(square, lambda x, z: 0.0 * np.asarray(z), [2.0], TARGETS)
+    z = w - 2.0
     assert m == pytest.approx(0.0, abs=1e-10)
     assert z == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_affine_cost_example():
-    m, z = intervention_operator(square, lambda x, z: 1.0 + np.abs(z), 1.0, TARGETS)
+    (m,), (w,) = minimize_over_targets(square, lambda x, z: 1.0 + np.abs(z), [1.0], TARGETS)
+    z = w - 1.0
     assert m == pytest.approx(1.75, abs=1e-9)
     assert z == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_prohibitive_cost_never_pays():
-    m, _ = intervention_operator(square, lambda x, z: 1000.0 + np.abs(z), 1.0, TARGETS)
+    (m,), _ = minimize_over_targets(square, lambda x, z: 1000.0 + np.abs(z), [1.0], TARGETS)
     assert m == pytest.approx(1000.75, abs=1e-9)
     assert m > square(1.0)
 
@@ -78,8 +80,8 @@ def test_matches_brute_force_grid_oracle():
     dense = np.linspace(-6.0, 6.0, 2_000_001)
     for y in (-2.3, -0.4, 0.9, 3.1):
         oracle = np.min(square(dense) + 1.0 + 0.7 * np.abs(dense - y))
-        m, _ = intervention_operator(
-            square, lambda x, z: 1.0 + 0.7 * np.abs(z), y, TARGETS
+        (m,), _ = minimize_over_targets(
+            square, lambda x, z: 1.0 + 0.7 * np.abs(z), [y], TARGETS
         )
         assert m == pytest.approx(oracle, abs=1e-6)
 
@@ -88,7 +90,8 @@ def test_tie_breaks_toward_smallest_impulse():
     # flat value, flat cost: every target ties; the stay-put impulse wins
     flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
     targets = np.linspace(-1.0, 1.0, 41)  # includes 0
-    _, z = intervention_operator(flat, lambda x, z: 2.0 + 0.0 * np.asarray(z), 0.0, targets)
+    # the point is 0, so its best target is its impulse
+    _, (z,) = minimize_over_targets(flat, lambda x, z: 2.0 + 0.0 * np.asarray(z), [0.0], targets)
     assert z == pytest.approx(0.0, abs=1e-12)
 
 
@@ -180,10 +183,11 @@ def test_candidate_rejects_negative_values():
 # policy synthesis
 
 
-def test_synthesize_quadratic_band():
+def test_synthesize_quadratic_band(monkeypatch):
     x = np.linspace(-4.0, 4.0, 1601)
     cand = CandidateValue(x=x, values=x**2, discount=1.0)
-    policy = synthesize_policy(quiet_problem(), cand, region_tol=1e-6)
+    monkeypatch.setattr(impulse, "_REGION_TOL", 1e-6)
+    policy = synthesize_policy(quiet_problem(), cand)
     assert len(policy.intervals) == 1
     lo, hi = policy.intervals[0]
     assert lo == pytest.approx(-1.5, abs=0.01)
@@ -206,10 +210,11 @@ def test_synthesize_huge_fixed_cost_never_intervenes():
     assert policy.grid.size == 0
 
 
-def test_synthesize_symmetric_problem_gives_odd_impulse():
+def test_synthesize_symmetric_problem_gives_odd_impulse(monkeypatch):
     x = np.linspace(-5.0, 5.0, 2001)
     cand = CandidateValue(x=x, values=0.5 * x**2 + 0.2, discount=1.0)
-    policy = synthesize_policy(quiet_problem(), cand, region_tol=1e-6)
+    monkeypatch.setattr(impulse, "_REGION_TOL", 1e-6)
+    policy = synthesize_policy(quiet_problem(), cand)
     lo, hi = policy.intervals[0]
     assert lo == pytest.approx(-hi, abs=1e-9)
     for y in (2.6, 3.4, 4.1):
@@ -232,11 +237,12 @@ def _continuation_runs(inside, x):
     return tuple(intervals)
 
 
-def test_synthesize_two_wells_matches_a_plain_run_scan():
+def test_synthesize_two_wells_matches_a_plain_run_scan(monkeypatch):
     x = np.linspace(-4.0, 4.0, 801)
     cand = CandidateValue(x=x, values=0.25 * (x**2 - 4.0) ** 2, discount=1.0)
     problem = quiet_problem()
-    policy = synthesize_policy(problem, cand, region_tol=1e-6)
+    monkeypatch.setattr(impulse, "_REGION_TOL", 1e-6)
+    policy = synthesize_policy(problem, cand)
     m_vals, _ = minimize_over_targets(
         cand.psi, lambda x, z: problem.intervention_cost(0.0, x, z), x, x)
     assert len(policy.intervals) == 2
@@ -252,8 +258,38 @@ def test_synthesize_degenerate_region():
         synthesize_policy(problem, cand)
 
 
+def test_region_threshold_is_read_at_call_time(monkeypatch):
+    # M phi - phi is at most 1 on this candidate: a threshold of 2 leaves no region
+    x = np.linspace(-4.0, 4.0, 801)
+    cand = CandidateValue(x=x, values=x**2, discount=1.0)
+    assert len(synthesize_policy(quiet_problem(), cand).intervals) == 1
+    monkeypatch.setattr(impulse, "_REGION_TOL", 2.0)
+    with pytest.raises(DegeneratePolicyError):
+        synthesize_policy(quiet_problem(), cand)
+
+
 # ---------------------------------------------------------------------------
 # QVI residual
+
+
+@pytest.mark.parametrize("marks, excluded", [
+    (symmetric_pair(0.6), 12),  # margin 0.6 + 2h = 11.6 steps
+    (Uniform(-0.5, 0.8), 15),  # margin 0.8 + 2h = 14.8 steps
+    (None, 2),  # margin 2h: the node two steps in is interior
+])
+def test_qvi_residual_margin_is_jump_reach_plus_two_steps(marks, excluded):
+    # a dyadic grid, h = 1/16, puts every node and margin end exactly in binary
+    x = np.linspace(-4.0, 4.0, 129)
+    dynamics = JumpDiffusionSpec(drift=constant(0.0), diffusion=constant(0.5),
+                                 jump_intensity=0.0 if marks is None else 0.8,
+                                 mark_distribution=marks)
+    cand = CandidateValue(x=x, values=x**2, discount=1.0)
+    report = qvi_residual(quiet_problem(dynamics=dynamics), cand)
+    expected = np.zeros(x.size, dtype=bool)
+    expected[excluded:x.size - excluded] = True
+    assert np.array_equal(report.interior, expected)
+    defect = np.minimum(report.generator_plus_running, -report.value_minus_intervention)
+    assert report.sup_norm == np.max(np.abs(defect[expected]))
 
 
 def test_qvi_residual_zero_candidate():
@@ -441,13 +477,13 @@ def kicked_problem():
     ))
 
 
-def test_chattering_cap_counts_jump_time_impulses(stream):
+def test_chattering_cap_counts_jump_time_impulses(stream, monkeypatch):
     problem, policy = kicked_problem(), band_policy(1.0, 0.0)
+    monkeypatch.setattr(sde, "MAX_INTERVENTIONS", 3)
     with pytest.raises(ChatteringError):
-        estimate_cost(problem, policy, 0.0, 4, 1e-2, stream, horizon=10.0,
-                      max_interventions=3)
+        estimate_cost(problem, policy, 0.0, 4, 1e-2, stream, horizon=10.0)
     with pytest.raises(ChatteringError):
-        simulate_controlled(problem, policy, 0.0, 10.0, 1e-2, stream, max_interventions=3)
+        simulate_controlled(problem, policy, 0.0, 10.0, 1e-2, stream)
 
 
 def test_jump_time_impulse_landing_outside_region_raises_at_once(stream):
@@ -534,7 +570,7 @@ def kernel_lanes(stream, sizes=(40, 1, 25)):
 
 def test_lanes_with_different_policies_equal_each_run_alone(stream):
     problem = jumpy_problem()
-    options = dict(intervention_cost=problem.intervention_cost, max_interventions=1000,
+    options = dict(intervention_cost=problem.intervention_cost,
                    integrand=problem.running_cost, trapezoid=True)
     together = sde._simulate_batch(problem.dynamics, 0.3, 3.0, 1e-2, kernel_lanes(stream),
                                    **options)
@@ -551,8 +587,7 @@ def recorded_lanes(stream):
     problem = jumpy_problem()
     return sde._simulate_batch(problem.dynamics, 0.3, 3.0, 1e-2, kernel_lanes(stream),
                                intervention_cost=problem.intervention_cost,
-                               max_interventions=1000, integrand=problem.running_cost,
-                               trapezoid=True, record=True)
+                               integrand=problem.running_cost, trapezoid=True, record=True)
 
 
 @pytest.mark.parametrize("chunk", [1, 200, 1000])
