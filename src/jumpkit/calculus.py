@@ -33,36 +33,15 @@ _BLOCK_SIZE = 1024  # paths per block and substream; fixes the draws, not the ba
 
 @dataclass
 class ScalarField:
-    """A function F(t, x) with first/second derivatives.
+    """A function F(t, x) with its derivatives dF/dt, dF/dx and d2F/dx2.
 
-    Derivatives left as ``None`` are evaluated by central finite
-    differences with step ``1e-5 * max(1, |argument|)``, which balances
-    truncation against rounding in double precision.  All callables must
-    accept numpy arrays in ``x``.
+    All four callables are required and must accept numpy arrays in ``x``.
     """
 
     value: callable
-    dt: callable = None
-    dx: callable = None
-    dxx: callable = None
-
-    def d_t(self, t, x):
-        if self.dt is not None:
-            return self.dt(t, x)
-        h = 1e-5 * np.maximum(1.0, np.abs(t))
-        return (self.value(t + h, x) - self.value(t - h, x)) / (2 * h)
-
-    def d_x(self, t, x):
-        if self.dx is not None:
-            return self.dx(t, x)
-        h = 1e-5 * np.maximum(1.0, np.abs(x))
-        return (self.value(t, x + h) - self.value(t, x - h)) / (2 * h)
-
-    def d_xx(self, t, x):
-        if self.dxx is not None:
-            return self.dxx(t, x)
-        h = 1e-5 * np.maximum(1.0, np.abs(x))
-        return (self.value(t, x + h) - 2 * self.value(t, x) + self.value(t, x - h)) / h**2
+    dt: callable
+    dx: callable
+    dxx: callable
 
     @classmethod
     def from_polynomial(cls, coeffs):
@@ -89,14 +68,14 @@ def generator_apply(spec, field, t, x):
     """
     x = np.asarray(x, dtype=float)
     out = np.asarray(
-        field.d_t(t, x)
-        + spec.drift(t, x) * field.d_x(t, x)
-        + 0.5 * np.asarray(spec.diffusion(t, x)) ** 2 * field.d_xx(t, x),
+        field.dt(t, x)
+        + spec.drift(t, x) * field.dx(t, x)
+        + 0.5 * np.asarray(spec.diffusion(t, x)) ** 2 * field.dxx(t, x),
         dtype=float,
     )
     if spec.jump_intensity > 0:
         fx = np.asarray(field.value(t, x), dtype=float)
-        dfx = np.asarray(field.d_x(t, x), dtype=float) if spec.compensated else None
+        dfx = np.asarray(field.dx(t, x), dtype=float) if spec.compensated else None
         # broadcast time alongside the extra mark axis when t is an array
         tb = np.asarray(t)[..., None] if np.ndim(t) else t
 
@@ -132,9 +111,9 @@ def ito_residual(spec, field, path):
     tl, xl = t[:-1], post[:-1]
 
     continuous = np.sum(
-        field.d_t(tl, xl) * h
-        + field.d_x(tl, xl) * (pre[1:] - xl)
-        + 0.5 * field.d_xx(tl, xl) * spec.diffusion(tl, xl) ** 2 * h
+        field.dt(tl, xl) * h
+        + field.dx(tl, xl) * (pre[1:] - xl)
+        + 0.5 * field.dxx(tl, xl) * spec.diffusion(tl, xl) ** 2 * h
     )
 
     events = sorted(

@@ -25,7 +25,6 @@ One scenario per config file.  ``kind`` selects the computation:
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,7 +65,6 @@ MAX_COUNT = 10_000_000  # largest n_paths or n_trials a config may ask for
 class Scenario:
     kind: str
     seed: int
-    workers: int
     output: str
     parameters: dict
 
@@ -102,6 +100,14 @@ def _number(value, name):
         raise ConfigError(f"field {name} is out of float range") from None
 
 
+def _integer(value, name, positive=False):
+    """A config integer; JSON ``true`` and ``false`` are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"field {name} must be {kind}, not {value!r}")
+    return value
+
+
 def _flag(doc, field, default):
     """A config flag: JSON ``true`` or ``false`` only."""
     value = doc.get(field, default)
@@ -134,19 +140,16 @@ def parse_config(document):
     kind = _require(document, "kind", str)
     if kind not in KINDS:
         raise ConfigError(f"unknown kind: {kind}")
-    seed = _require(document, "seed", int)
-    workers = document.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError("field workers must be a positive integer")
-    workers = min(workers, os.cpu_count() or 1)
+    seed = _integer(_require(document, "seed"), "seed")
+    _integer(document.get("workers", 1), "workers", positive=True)
     output = document.get("output", kind.replace("-", "_"))
-    if not isinstance(output, str) or not output:
-        raise ConfigError("field output must be a nonempty string")
+    if not isinstance(output, str) or output in ("", "..") or "\0" in output \
+            or Path(output).name != output:
+        raise ConfigError(f"field output must be a plain file name, not {output!r}")
     parameters = document.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("field parameters must be an object")
-    return Scenario(kind=kind, seed=seed, workers=workers, output=output,
-                    parameters=parameters)
+    return Scenario(kind=kind, seed=seed, output=output, parameters=parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def _run_renewal_check(params, stream):
                     ("age_limit", age_limit, 0.0, 0)]
     elif check == "regenerative":
         rates = _require(params, "rates", list)
-        state = int(_require(params, "state", int))
+        state = _integer(_require(params, "state"), "state")
         horizon = _require_number(params, "horizon")
         n = _n_paths(params)
         rates = np.asarray([_number(r, "rates") for r in rates])
@@ -466,7 +469,10 @@ _EXECUTORS = {
 def execute_scenario(scenario, out_dir, fmt="csv"):
     """Run one scenario and write its outputs; returns the written paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     stream = derive_stream(scenario.seed, 0)
     result = _EXECUTORS[scenario.kind](scenario.parameters, stream)
     if isinstance(result, tuple):

@@ -195,11 +195,11 @@ class ImpulsePolicy:
 class QVIReport:
     """Node-wise quasi-variational inequality diagnostics.
 
-    ``generator_plus_running`` is L phi + running cost,
-    ``value_minus_intervention`` is phi - M phi, ``defect`` their
-    complementarity defect min(L phi + l, M phi - phi).  ``sup_norm``
-    takes the largest absolute defect over interior nodes (the boundary
-    margin excludes one-sided stencils and jump reach).
+    ``generator_plus_running`` is L phi + running cost and
+    ``value_minus_intervention`` is phi - M phi.  ``sup_norm`` takes the
+    largest absolute complementarity defect min(L phi + l, M phi - phi)
+    over interior nodes (the boundary margin excludes one-sided stencils
+    and jump reach).
     """
 
     x: np.ndarray
@@ -208,10 +208,6 @@ class QVIReport:
     region: np.ndarray
     interior: np.ndarray
     sup_norm: float
-
-    @property
-    def defect(self):
-        return np.minimum(self.generator_plus_running, -self.value_minus_intervention)
 
     def rows(self):
         for i in range(self.x.size):

@@ -19,10 +19,6 @@ class EstimateWithCI:
     stderr: float
     n: int
 
-    def covers(self, target, k=3.0):
-        """True when ``target`` lies within ``k`` standard errors."""
-        return abs(self.value - target) <= k * self.stderr
-
 
 def estimate_from_samples(samples):
     """Build an :class:`EstimateWithCI` from iid replication outputs."""

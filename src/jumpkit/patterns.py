@@ -27,7 +27,6 @@ first-occurrence time, which is how the automaton cross-checks them.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -37,31 +36,22 @@ from .errors import HypothesisViolationError, NumericalError, ParameterError
 
 @dataclass(frozen=True)
 class Pattern:
-    """A finite symbol sequence over a declared alphabet.
+    """A nonempty finite symbol sequence.
+
+    Its symbols are checked against a source's alphabet where the pattern
+    meets the source, in ``_source_automaton``.
 
     >>> Pattern((1, 0, 1, 0)).overlap
     2
-    >>> Pattern("aab", alphabet=("a", "b")).overlap
-    0
     """
 
     symbols: tuple
-    alphabet: tuple = None
 
     def __post_init__(self):
         symbols = tuple(self.symbols)
         object.__setattr__(self, "symbols", symbols)
         if len(symbols) == 0:
             raise ParameterError("pattern must be nonempty")
-        alphabet = self.alphabet
-        if alphabet is None:
-            alphabet = tuple(sorted(set(symbols), key=repr))
-        else:
-            alphabet = tuple(alphabet)
-            missing = set(symbols) - set(alphabet)
-            if missing:
-                raise ParameterError(f"symbols {missing} not in declared alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
 
     def __len__(self):
         return len(self.symbols)
@@ -163,7 +153,11 @@ class IIDSource:
 
 
 class MarkovChain:
-    """Finite Markov chain with cached stationary law and hitting times."""
+    """Finite Markov chain: a row-stochastic matrix and its state labels.
+
+    The stationary law and the mean hitting times are solved anew on
+    every call.
+    """
 
     def __init__(self, matrix, states=None):
         matrix = np.asarray(matrix, dtype=float)
@@ -177,7 +171,6 @@ class MarkovChain:
         self.states = tuple(states) if states is not None else tuple(range(matrix.shape[0]))
         if len(self.states) != matrix.shape[0]:
             raise ParameterError("state labels must match the matrix dimension")
-        self._hitting_cache = {}
 
     @property
     def n_states(self):
@@ -189,16 +182,13 @@ class MarkovChain:
         except ValueError:
             raise ParameterError(f"state {state!r} not in chain") from None
 
-    @cached_property
+    @property
     def stationary(self):
         return stationary_distribution(self.matrix)
 
     def hitting_times(self, target):
         """Mean first-passage times to ``target`` from every state."""
-        idx = self.index(target)
-        if idx not in self._hitting_cache:
-            self._hitting_cache[idx] = mean_hitting_times(self.matrix, idx)
-        return self._hitting_cache[idx]
+        return mean_hitting_times(self.matrix, self.index(target))
 
     def hitting_time(self, source, target):
         return float(self.hitting_times(target)[self.index(source)])

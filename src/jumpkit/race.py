@@ -46,6 +46,7 @@ REPORTED_REFERENCE_PROBABILITIES = (0.7895, 0.7884, 0.7889)
 _AGREE = 1e-9
 _PROB_TOL = 1e-10  # slack of the race probabilities on their sum and on [0, 1]
 _BLOCK_SIZE = 8192  # trials per block of a simulated race, one substream each
+MAX_TRIAL_STEPS = 1_000_000  # symbols a simulated race trial may draw before it is truncated
 
 
 @dataclass(frozen=True)
@@ -210,15 +211,14 @@ def run_race_probability_two_stage(n, m, r, p1, p2):
     return run_race_probability(n, m, p1) * run_race_probability(r, m, p2)
 
 
-def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None,
-                          max_steps=1_000_000):
+def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None):
     """Monte Carlo race: empirical win probabilities and minimum time.
 
-    Trials exceeding ``max_steps`` are counted as truncated and excluded
-    from the estimates.  Simulation is vectorised over fixed-size blocks
-    of trials; block b draws from substream b.  Every trial steps the
-    joint matching automaton of the patterns, whose lowest-indexed
-    pattern wins simultaneous completions.
+    Trials exceeding ``MAX_TRIAL_STEPS`` symbols (read at call time) are
+    counted as truncated and excluded from the estimates.  Simulation is
+    vectorised over fixed-size blocks of trials; block b draws from
+    substream b.  Every trial steps the joint matching automaton of the
+    patterns, whose lowest-indexed pattern wins simultaneous completions.
     """
     if n_trials < 1:
         raise ParameterError("n_trials must be positive")
@@ -237,7 +237,7 @@ def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None
         state = np.zeros(alive.size, dtype=np.int64)
         won = np.full(alive.size, -1, dtype=np.int64)
         steps = np.zeros(alive.size, dtype=np.int64)
-        for step in range(1, max_steps + 1):
+        for step in range(1, MAX_TRIAL_STEPS + 1):
             u = gen.random(alive.size)
             cell = state * n_sym  # the state's row of ``flat``; the symbol is added
             for column in cum:
@@ -369,8 +369,8 @@ def alternating_run_race_report(n, m, p, n_trials, stream):
     reference probabilities.  The report flags the discrepancy between the
     exact and reported values rather than reconciling them.
     """
-    alternating = Pattern((1, 0) * n, alphabet=(0, 1))
-    runs = Pattern((1,) * m + (0,) * m, alphabet=(0, 1))
+    alternating = Pattern((1, 0) * n)
+    runs = Pattern((1,) * m + (0,) * m)
     source = {0: 1.0 - p, 1: p}
 
     race = race_solve([alternating, runs], source)

@@ -18,14 +18,6 @@ def constant(v):
     return lambda t, x: v * np.ones_like(np.asarray(x, dtype=float))
 
 
-def test_finite_difference_fallback_matches_analytic():
-    exact = ScalarField.from_polynomial([0.0, 0.0, 1.0])       # x^2
-    fd = ScalarField(value=lambda t, x: np.asarray(x, dtype=float) ** 2)
-    for x in (-1.7, 0.0, 2.3, 15.0):
-        assert abs(fd.d_x(0.0, x) - exact.d_x(0.0, x)) < 1e-7 * max(1, abs(x))
-        assert abs(fd.d_xx(0.0, x) - exact.d_xx(0.0, x)) < 1e-4
-
-
 def test_generator_constant_field_is_zero(jump_ou_spec):
     field = ScalarField.from_polynomial([4.0])
     assert generator_apply(jump_ou_spec, field, 0.0, 1.3) == pytest.approx(0.0, abs=1e-12)
@@ -149,3 +141,13 @@ def test_dynkin_requires_two_paths(jump_ou_spec, stream):
     field = ScalarField.from_polynomial([0.0, 1.0])
     with pytest.raises(ParameterError):
         dynkin_residual(jump_ou_spec, field, 0.0, 1.0, 1e-2, 1, stream)
+
+
+def test_dynkin_residual_of_the_identity_telescopes(stream):
+    # sigma = 0, lambda = 0: L x = a x, and the left-point sum h * sum(a x_k)
+    # of the Euler path is exactly x_K - x_0, so only rounding is left
+    spec = JumpDiffusionSpec(drift=lambda t, x: -0.8 * x, diffusion=constant(0.0))
+    est = dynkin_residual(spec, ScalarField.from_polynomial([0.0, 1.0]), 1.5, 1.0, 0.01, 4,
+                          stream)
+    assert est.n == 4
+    assert est.value == pytest.approx(0.0, abs=1e-14)

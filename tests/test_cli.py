@@ -37,7 +37,6 @@ def test_parse_valid_race_config():
     scenario = parse_config(RACE_DOC)
     assert scenario.kind == "pattern-race"
     assert scenario.seed == 1
-    assert scenario.workers == 1
 
 
 def test_parse_missing_seed():
@@ -430,12 +429,62 @@ def test_integral_float_trial_count_accepted(tmp_path):
     assert any(line.startswith("mc_P_1,") and line.endswith(",2000") for line in lines)
 
 
-def test_workers_clamped_to_cpu_count():
-    cpus = os.cpu_count() or 1
-    assert parse_config({**RACE_DOC, "workers": 10**9}).workers == cpus
-    assert parse_config({**RACE_DOC, "workers": 1}).workers == 1
-    with pytest.raises(ConfigError, match="workers must be a positive integer"):
-        parse_config({**RACE_DOC, "workers": True})
+def test_workers_must_be_a_positive_integer():
+    parse_config({**RACE_DOC, "workers": 10**9})
+    for workers in (True, 0, 2.0):
+        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+            parse_config({**RACE_DOC, "workers": workers})
+
+
+REGENERATIVE_DOC = {
+    "kind": "renewal-check",
+    "seed": 5,
+    "parameters": {"check": "regenerative", "rates": [1.0, 2.0], "state": 0,
+                   "horizon": 5.0, "n_paths": 20},
+}
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({**RACE_DOC, "seed": True}, "seed"),
+    ({**RACE_DOC, "seed": 1.0}, "seed"),
+    ({**RACE_DOC, "workers": False}, "workers"),
+    (_with_parameters(REGENERATIVE_DOC, state=True), "state"),
+    (_with_parameters(REGENERATIVE_DOC, state="0"), "state"),
+], ids=["seed-true", "seed-float", "workers-false", "state-true", "state-str"])
+def test_integer_fields_refuse_booleans_exit_code(tmp_path, capsys, doc, name):
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field {name} must be a")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_regenerative_state_accepts_an_integer(tmp_path):
+    path = write_config(tmp_path, REGENERATIVE_DOC)
+    assert main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "renewal_check.csv").read_text().splitlines()[1].startswith("occupancy,")
+
+
+@pytest.mark.parametrize("output", ["sub/dir/x", "/abs", "x/", "..", ".", "", "a\0b", 3],
+                         ids=["nested", "absolute", "trailing-slash", "parent", "dot", "empty",
+                              "nul", "int"])
+def test_output_must_be_a_plain_file_name(tmp_path, capsys, output):
+    doc = {**RACE_DOC, "output": output}
+    code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+    assert code == 2
+    assert "field output must be a plain file name" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_out_naming_a_file_exit_code(tmp_path, capsys):
+    config = write_config(tmp_path, RACE_DOC)
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "below"):
+        code = main(["--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output: ")
+    assert blocker.read_text(encoding="utf-8") == ""
 
 
 IMPULSE_SOLVE_DOC = {"kind": "impulse-solve", "seed": 1,
@@ -480,6 +529,9 @@ def test_overflowing_benchmark_exit_code_in_verify(tmp_path, capsys):
                       horizon=1e300), "MAX_ARRIVALS"),
     (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=1e12, step=1e-3),
      "MAX_NODES"),
+    # one step over 2^18; the step and t_max are exact in binary
+    (_with_parameters(RENEWAL_DOC, check="renewal-equation", t_max=(2**18 + 1) / 1024,
+                      step=1 / 1024), "MAX_NODES"),
     (_with_parameters(RENEWAL_DOC, check="last-renewal-cdf", t=1.0, s=0.5, step=0),
      "delta must be positive"),
     # exp(-rate s) is integrable only for a positive rate
@@ -494,8 +546,8 @@ def test_overflowing_benchmark_exit_code_in_verify(tmp_path, capsys):
                       marks={"type": "discrete", "values": [1.0], "probs": [1.0]}),
      "MAX_ARRIVALS"),
 ], ids=["mean-process", "wald", "blackwell-random-walk", "regenerative", "renewal-equation",
-        "last-renewal-cdf-step-zero", "f-decay-rate-zero", "f-decay-rate-negative",
-        "f-decay-rate-huge-negative", "simulate-jump-intensity"])
+        "renewal-equation-one-step-over", "last-renewal-cdf-step-zero", "f-decay-rate-zero",
+        "f-decay-rate-negative", "f-decay-rate-huge-negative", "simulate-jump-intensity"])
 def test_oversized_renewal_work_exit_code(tmp_path, capsys, doc, message):
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2

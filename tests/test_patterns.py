@@ -118,8 +118,6 @@ def test_matcher_agrees_with_naive_scans_on_every_pair():
 def test_pattern_validation():
     with pytest.raises(ParameterError):
         Pattern(())
-    with pytest.raises(ParameterError):
-        Pattern((1, 2), alphabet=(0, 1))
 
 
 # ---------------------------------------------------------------------------

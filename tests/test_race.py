@@ -14,6 +14,7 @@ from jumpkit import (
     run_race_probability_two_stage,
     simulate_pattern_race,
 )
+from jumpkit import race
 from jumpkit.errors import HypothesisViolationError, NumericalError, ParameterError
 from jumpkit.patterns import _source_automaton
 from jumpkit.race import REPORTED_REFERENCE_PROBABILITIES, RaceResult
@@ -137,8 +138,9 @@ def test_simulated_race_single_pattern(stream):
     assert abs(sim.min_time.value - target) <= 3 * sim.min_time.stderr
 
 
-def test_simulated_race_truncation_counted(stream):
-    sim = simulate_pattern_race([(1,) * 6, (0,) * 6], FAIR, 400, stream, max_steps=30)
+def test_simulated_race_truncation_counted(stream, monkeypatch):
+    monkeypatch.setattr(race, "MAX_TRIAL_STEPS", 30)
+    sim = simulate_pattern_race([(1,) * 6, (0,) * 6], FAIR, 400, stream)
     assert sim.n_truncated > 0
     assert sim.n_truncated + (sim.probabilities * (sim.n_trials - sim.n_truncated)).sum() \
         == pytest.approx(sim.n_trials)
@@ -281,13 +283,15 @@ def test_simulated_race_rejects_empty_patterns(patterns, stream):
 
 # Outputs of the race simulator at fixed seeds.  A change to the symbol
 # draw or to the stepping that moves any Monte Carlo figure fails here.
+# The "markov" race runs with a step cap of 12, so that it truncates.
+PINNED_STEP_CAPS = {"markov": 12}
 PINNED_RACES = {
     "iid": (dict(patterns=[(1, 0, 1), (0, 1, 1)], source={0: 0.4, 1: 0.6},
                  n_trials=5000, stream=(61, 0)),
             [0.5498, 0.4502], 5.4572, 0.038689701609111955, 0),
     "markov": (dict(patterns=[(1, 1, 0), (0, 0)],
                     source=MarkovChain([[0.7, 0.3], [0.4, 0.6]]),
-                    n_trials=4000, stream=(62, 0), initial_state=1, max_steps=12),
+                    n_trials=4000, stream=(62, 0), initial_state=1),
                [0.4934673366834171, 0.5065326633165829], 3.728391959798995,
                0.029561740153969895, 20),
     "three-symbol": (dict(patterns=[(2, 1), (0, 0, 2), (1, 2, 2)],
@@ -300,8 +304,10 @@ PINNED_RACES = {
 
 
 @pytest.mark.parametrize("name", PINNED_RACES)
-def test_pinned_race_draws(name):
+def test_pinned_race_draws(name, monkeypatch):
     kwargs, probs, mean, stderr, n_truncated = PINNED_RACES[name]
+    if name in PINNED_STEP_CAPS:
+        monkeypatch.setattr(race, "MAX_TRIAL_STEPS", PINNED_STEP_CAPS[name])
     sim = simulate_pattern_race(**{**kwargs, "stream": derive_stream(*kwargs["stream"])})
     assert sim.probabilities.tolist() == probs
     assert (sim.min_time.value, sim.min_time.stderr) == (mean, stderr)

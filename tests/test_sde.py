@@ -15,6 +15,7 @@ from jumpkit import (
     simulate_renewal,
     symmetric_pair,
 )
+from jumpkit import sde
 
 
 def constant(v):
@@ -194,3 +195,26 @@ def test_state_dependent_compensator_on_batches(xs):
     assert np.allclose(batched, xs, rtol=0, atol=1e-15)
     assert np.array_equal(batched, scalars)
     assert np.array_equal(spec.effective_drift(0.0, xs), -batched)
+
+
+# dx = a x dt with no noise and no jumps: every path is the Euler
+# recursion x_{k+1} = (1 + a h) x_k, so both integral rules have exact sums
+def _euler_integrals(trapezoid, stream):
+    spec = JumpDiffusionSpec(drift=lambda t, x: -0.8 * x, diffusion=constant(0.0))
+    lane, = sde._simulate_batch(spec, 1.5, 1.0, 0.01, [(stream.generator, 2, None)],
+                                integrand=lambda t, x: x, trapezoid=trapezoid, record=True)
+    return lane
+
+
+def test_left_point_integral_is_h_times_the_left_states(stream):
+    lane = _euler_integrals(False, stream)
+    xs = lane.paths[0].states
+    assert xs.size == 101 and lane.jumps == 0
+    assert lane.integral == pytest.approx([0.01 * xs[:-1].sum()] * 2, rel=1e-14)
+
+
+def test_trapezoid_integral_averages_both_step_ends(stream):
+    lane = _euler_integrals(True, stream)
+    xs = lane.paths[0].states
+    assert lane.integral == pytest.approx([0.005 * (xs[:-1] + xs[1:]).sum()] * 2, rel=1e-14)
+    assert lane.integral[0] != pytest.approx(0.01 * xs[:-1].sum(), rel=1e-6)

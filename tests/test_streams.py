@@ -69,4 +69,3 @@ def test_estimate_from_samples():
     assert est.n == 4
     expected = np.std([1, 2, 3, 4], ddof=1) / 2
     assert abs(est.stderr - expected) < 1e-15
-    assert est.covers(2.5)
