@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
 )
 from .impulse import (
+    AffineInterventionCost,
     CandidateValue,
     CostEstimate,
     ImpulsePolicy,

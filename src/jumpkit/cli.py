@@ -218,12 +218,12 @@ def _make_source(doc):
 
 
 def _write_rows(path, fmt, columns, rows):
+    """Write ``rows`` to ``path`` plus the format's suffix; a suffix in the name stays."""
+    path = path.with_name(path.name + (".json" if fmt == "json" else ".csv"))
     if fmt == "json":
         payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
-        path = path.with_suffix(".json")
         path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     else:
-        path = path.with_suffix(".csv")
         lines = [",".join(columns)]
         lines += [",".join(str(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -481,7 +481,10 @@ def execute_scenario(scenario, out_dir, fmt="csv"):
     for item in result:
         columns, rows = item[0], item[1]
         suffix = item[2] if len(item) > 2 else ""
-        path = _write_rows(out_dir / (scenario.output + suffix), fmt, columns, rows)
+        try:
+            path = _write_rows(out_dir / (scenario.output + suffix), fmt, columns, rows)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         written.append(path)
     return written
 

@@ -42,6 +42,23 @@ from .mc import EstimateWithCI, estimate_from_samples, map_blocks
 from .sde import _simulate_batch, in_intervals
 
 
+@dataclass(frozen=True)
+class AffineInterventionCost:
+    """The intervention cost e^{-discount t} (fixed + proportional |z|).
+
+    A callable like any ``intervention_cost(t, x, z)``; its type declares
+    the cost class for which M phi at the grid nodes is an L1 distance
+    transform, so :func:`synthesize_policy` computes it in O(n).
+    """
+
+    fixed: float
+    proportional: float
+    discount: float
+
+    def __call__(self, t, x, z):
+        return np.exp(-self.discount * t) * (self.fixed + self.proportional * np.abs(z))
+
+
 @dataclass
 class ImpulseProblem:
     """Dynamics plus the cost triple (running, terminal, intervention).
@@ -52,6 +69,10 @@ class ImpulseProblem:
     what rules out intervention chattering).  ``horizon=None`` declares an
     infinite-horizon problem, which requires a positive discount folded
     into the costs; the terminal cost is then never evaluated.
+
+    The intervention cost's type declares its class: an
+    :class:`AffineInterventionCost` gets the O(n) intervention operator in
+    :func:`synthesize_policy`, and any other callable the dense search.
     """
 
     dynamics: object
@@ -286,13 +307,12 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     the one-point call ``minimize_over_targets(value_fn, cost_fn, [y],
     targets)``, and its impulse is the best target minus ``y``.
 
-    This is the general search, for any cost and candidate, and the
-    oracle for the fast paths: for the cost c + kappa |z| on a
-    piecewise-linear candidate with targets at its nodes,
-    :func:`affine_intervention_operator` gives the same values in O(n).
-    The coarse search runs in blocks of points, so its memory stays
-    O(len(targets)) per block; the refinement runs over all points at
-    once, since its iteration count depends on every point's bracket.
+    This is the general path, for any cost and candidate, and the oracle
+    for the fast ones: for an :class:`AffineInterventionCost` with the
+    nodes as targets, :func:`synthesize_policy` takes the coarse winners
+    from the O(n) L1 envelope instead and returns the same values and
+    targets.  The coarse search is O(len(points) * len(targets)); it runs
+    in blocks of points, so its memory stays O(len(targets)) per block.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -309,7 +329,17 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
         ties = obj <= vmin + 1e-12 * (1.0 + np.abs(vmin))
         pick[rows] = np.where(ties, np.abs(targets[None, :] - p), np.inf).argmin(axis=1)
         coarse_f[rows] = np.take_along_axis(obj, pick[rows, None], axis=1)[:, 0]
+    return _refine_targets(value_fn, cost_fn, points, targets, pick, coarse_f)
 
+
+def _refine_targets(value_fn, cost_fn, points, targets, pick, coarse_f):
+    """Golden-section refinement of the coarse winners ``targets[pick]``.
+
+    Each point's target is refined between the winner's neighbours down to
+    a bracket of 1e-6, and the refined target replaces the winner only
+    where its objective is below ``coarse_f``.  It runs over all points at
+    once, since its iteration count depends on every point's bracket.
+    """
     lo = targets[np.maximum(pick - 1, 0)]
     hi = targets[np.minimum(pick + 1, targets.size - 1)]
     a, b = lo.copy(), hi.copy()
@@ -337,6 +367,26 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     best_w = np.where(better, w_ref, coarse_w)
     best_f = np.where(better, f_ref, coarse_f)
     return best_f, best_w
+
+
+def _intervention_operator(problem, candidate):
+    """M psi and its best targets at the candidate's nodes, the nodes being the targets.
+
+    For an :class:`AffineInterventionCost` the coarse winners come from
+    the O(n) envelope of the spline's node values; their objective is
+    evaluated as the dense search evaluates it, so the refined values and
+    targets equal :func:`minimize_over_targets`'s bit for bit.  Any other
+    cost runs the dense search.
+    """
+    x = candidate.x
+    _, kost = _stationary_cost(problem)
+    cost = problem.intervention_cost
+    if not isinstance(cost, AffineInterventionCost):
+        return minimize_over_targets(candidate.psi, kost, x, x)
+    target_values = candidate.psi(x)
+    _, pick = _affine_envelope(target_values, x, cost.fixed, cost.proportional)
+    coarse_f = target_values[pick] + kost(x, x[pick] - x)
+    return _refine_targets(candidate.psi, kost, x, x, pick, coarse_f)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +462,14 @@ def synthesize_policy(problem, candidate):
     region).  The impulse map on the exterior re-optimises the
     intervention operator at every exterior node and must land strictly
     inside D.
+
+    M phi takes every node as a coarse target.  For an
+    :class:`AffineInterventionCost` the coarse search is the O(n) L1
+    envelope; any other cost runs the dense O(n^2) search of
+    :func:`minimize_over_targets`, which gives the same values and targets.
     """
     x = candidate.x
-    _, kost = _stationary_cost(problem)
-    m_vals, m_targets = minimize_over_targets(candidate.psi, kost, x, x)
+    m_vals, m_targets = _intervention_operator(problem, candidate)
     gap = m_vals - candidate.values
     inside = gap > _REGION_TOL
     if not np.any(inside):

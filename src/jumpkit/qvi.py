@@ -38,7 +38,13 @@ import scipy.sparse.linalg as spla
 
 from .distributions import symmetric_pair
 from .errors import NumericalError, ParameterError
-from .impulse import CandidateValue, ImpulseProblem, _affine_envelope, _jump_reach
+from .impulse import (
+    AffineInterventionCost,
+    CandidateValue,
+    ImpulseProblem,
+    _affine_envelope,
+    _jump_reach,
+)
 from .sde import JumpDiffusionSpec
 
 # Largest grid accepted: one sparse solve of the default problem peaks near
@@ -113,7 +119,7 @@ def make_benchmark_problem(params):
     return ImpulseProblem(
         dynamics=dynamics,
         running_cost=lambda t, x: np.exp(-rho * t) * np.asarray(x, dtype=float) ** 2,
-        intervention_cost=lambda t, x, z: np.exp(-rho * t) * (c + kappa * np.abs(z)),
+        intervention_cost=AffineInterventionCost(c, kappa, rho),
         min_intervention_cost=c,
         discount=rho,
         horizon=None,

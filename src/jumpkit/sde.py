@@ -419,7 +419,9 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, integrand, trapezoi
         for gen, a, b in zip(gens, cuts, cuts[1:]):
             gen.standard_normal(out=noise[a:b])
         first = at[pair_lane[j0:j1], pair_step[j0:j1] - k0] + pair_skip[j0:j1]
-        return noise[at.T[:, lane_of] + local], noise, first, first + pair_sub[j0:j1] - 1, j0
+        index = at.T[:, lane_of]
+        index += local  # in place: the chunk holds one index array, not two
+        return noise[index], noise, first, first + pair_sub[j0:j1] - 1, j0
 
     def _advance(sel, t0, h0, root, z, t1):
         """Event step of the paths ``sel`` from ``t0`` by ``h0`` to ``t1``; returns their states.
@@ -527,6 +529,7 @@ def _step_lanes(spec, x0, h, ends, lanes, intervention_cost, integrand, trapezoi
     chunk = max(1, _NOISE_CHUNK // size)
     t = 0.0
     for k0 in range(0, n_steps, chunk):
+        base = noise = z = None  # free the last chunk before drawing the next
         base, noise, first, last, j0 = _draw(k0, min(k0 + chunk, n_steps))
         for k, z in enumerate(base, start=k0):
             te = ends_list[k]

@@ -487,6 +487,29 @@ def test_out_naming_a_file_exit_code(tmp_path, capsys):
     assert blocker.read_text(encoding="utf-8") == ""
 
 
+def test_output_name_keeps_its_own_suffix(tmp_path):
+    out = tmp_path / "o1"
+    for seed, output in ((1, "res.v1"), (2, "res.v2"), (1, "race")):
+        doc = {**RACE_DOC, "seed": seed, "output": output}
+        config = write_config(tmp_path, doc, name=f"{output}.json")
+        assert main(["--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["race.csv", "res.v1.csv", "res.v2.csv"]
+    assert (out / "res.v1.csv").read_text() == (out / "race.csv").read_text()
+    assert (out / "res.v1.csv").read_text() != (out / "res.v2.csv").read_text()
+    config = write_config(tmp_path, {**RACE_DOC, "output": "res.v1"})
+    assert main(["--config", str(config), "--out", str(out), "--format", "json"]) == 0
+    assert (out / "res.v1.json").is_file()
+
+
+def test_unwritable_output_file_exit_code(tmp_path, capsys):
+    (tmp_path / "x.csv").mkdir()
+    config = write_config(tmp_path, {**RACE_DOC, "output": "x"})
+    code = main(["--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output: ")
+    assert not list((tmp_path / "x.csv").iterdir())
+
+
 IMPULSE_SOLVE_DOC = {"kind": "impulse-solve", "seed": 1,
                      "parameters": {"benchmark": {"grid_step": 0.02}}}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jumpkit import (
+    AffineInterventionCost,
     BenchmarkParams,
     CandidateValue,
     affine_intervention_operator,
@@ -134,6 +135,61 @@ def test_affine_operator_targets_break_ties_like_dense_search(proportional):
         np.testing.assert_array_equal(targets, dense_targets)
     flat, targets = affine_intervention_operator(np.zeros(5), x[:5], 1.0, proportional)
     np.testing.assert_array_equal(targets, x[:5])  # every node ties with staying put
+
+
+def test_affine_cost_equals_the_lambda_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for fixed, proportional, rho in ((1.0, 0.3, 1.0), (0.95, 0.35, 0.7), (2.5, 0.0, 1e-3)):
+        cost = AffineInterventionCost(fixed, proportional, rho)
+        old = lambda t, x, z: np.exp(-rho * t) * (fixed + proportional * np.abs(z))
+        z = np.concatenate([rng.normal(scale=3.0, size=50), [0.0, -0.0, 1e-300, -7.5]])
+        x = rng.normal(size=z.size)
+        for t in (0.0, 0.37, 12.0, rng.uniform(0.0, 14.0, z.size)):
+            for args in ((t, x, z), (t, x[:, None], z[None, :]), (t, 0.5, -1.25)):
+                assert np.asarray(cost(*args)).tobytes() == np.asarray(old(*args)).tobytes()
+
+
+def _dense_coarse_pick(target_values, cost, x):
+    """The dense search's coarse winner per node: ties within 1e-12 go to the smaller impulse."""
+    obj = target_values[None, :] + cost(0.0, x[:, None], x[None, :] - x[:, None])
+    vmin = obj.min(axis=1, keepdims=True)
+    ties = obj <= vmin + 1e-12 * (1.0 + np.abs(vmin))
+    return np.where(ties, np.abs(x[None, :] - x[:, None]), np.inf).argmin(axis=1)
+
+
+def test_affine_operator_equals_dense_search_on_random_candidates():
+    # a third of the candidates take dyadic node values, nodes and costs,
+    # so that many objectives tie exactly; the coarse picks of the envelope
+    # and of the dense tie rule, and the refined values and targets, must agree
+    rng = np.random.default_rng(2026)
+    n_picks = 0
+    for case in range(300):
+        n = int(rng.integers(8, 201))
+        if case % 3 == 0:
+            x = np.cumsum(rng.integers(1, 3, n)) * 0.25 - 0.125 * n
+            values = rng.integers(0, 5, n) * 0.5
+            cost = AffineInterventionCost(float(rng.integers(1, 4)) * 0.5,
+                                          float(rng.integers(0, 5)) * 0.25, 1.0)
+        else:
+            x = np.sort(rng.uniform(-4.0, 4.0, n))
+            while np.any(np.diff(x) <= 0):
+                x = np.sort(rng.uniform(-4.0, 4.0, n))
+            values = x**2 + rng.uniform(0.0, 1.0, n)
+            cost = AffineInterventionCost(rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.5),
+                                          rng.uniform(0.1, 2.0))
+        cand = CandidateValue(x, values, discount=cost.discount)
+        problem = quiet_problem(intervention_cost=cost, discount=cost.discount,
+                                min_intervention_cost=cost.fixed)
+        target_values = cand.psi(x)
+        _, pick = impulse._affine_envelope(target_values, x, cost.fixed, cost.proportional)
+        np.testing.assert_array_equal(pick, _dense_coarse_pick(target_values, cost, x))
+        n_picks += pick.size
+        kost = lambda y, z: cost(0.0, y, z)
+        dense = minimize_over_targets(cand.psi, kost, x, x)
+        fast = impulse._intervention_operator(problem, cand)
+        np.testing.assert_array_equal(fast[0], dense[0])
+        np.testing.assert_array_equal(fast[1], dense[1])
+    assert n_picks > 30_000
 
 
 def test_affine_operator_rejects_bad_input():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ import scipy.sparse.linalg as spla
 from jumpkit import (
     BenchmarkParams,
     estimate_cost,
+    impulse,
     make_benchmark_problem,
     qvi_residual,
     solve_benchmark_qvi,
@@ -253,6 +256,45 @@ def test_policy_bands_match_active_set(solution, problem):
     assert hi == pytest.approx(solution.band[1], abs=0.05)
     targets = policy.targets
     assert np.all(policy.contains(targets))
+
+
+@pytest.mark.parametrize("h", [0.005, 0.0025, 0.00125,
+                               pytest.param(0.000625, marks=pytest.mark.slow)])
+def test_affine_operator_synthesizes_the_dense_search_policy(h, monkeypatch):
+    # the O(n) operator against the dense O(n^2) search it replaces in
+    # synthesize_policy: values, targets and intervals equal bit for bit
+    params = BenchmarkParams(grid_step=h)
+    cand = solve_benchmark_qvi(params).candidate
+    problem = make_benchmark_problem(params)
+    kost = lambda x, z: problem.intervention_cost(0.0, x, z)
+    dense = minimize_over_targets(cand.psi, kost, cand.x, cand.x)
+    fast = impulse._intervention_operator(problem, cand)
+    np.testing.assert_array_equal(fast[0], dense[0])
+    np.testing.assert_array_equal(fast[1], dense[1])
+    policy = synthesize_policy(problem, cand)
+    monkeypatch.setattr(impulse, "_intervention_operator", lambda problem, candidate: dense)
+    oracle = synthesize_policy(problem, cand)
+    assert policy.intervals == oracle.intervals
+    np.testing.assert_array_equal(policy.grid, oracle.grid)
+    np.testing.assert_array_equal(policy.targets, oracle.targets)
+
+
+def test_synthesis_skips_the_dense_search_only_for_the_affine_cost(solution, problem,
+                                                                  monkeypatch):
+    rho, c, kappa = problem.discount, 1.0, 0.3
+    plain = dataclasses.replace(
+        problem, intervention_cost=lambda t, x, z: np.exp(-rho * t) * (c + kappa * np.abs(z)))
+    oracle = synthesize_policy(plain, solution.candidate)
+
+    def refuse(*args):
+        raise AssertionError("dense search called")
+
+    monkeypatch.setattr(impulse, "minimize_over_targets", refuse)
+    policy = synthesize_policy(problem, solution.candidate)
+    with pytest.raises(AssertionError, match="dense search called"):
+        synthesize_policy(plain, solution.candidate)
+    assert policy.intervals == oracle.intervals
+    np.testing.assert_array_equal(policy.targets, oracle.targets)
 
 
 def test_quick_value_consistency(solution, problem, stream):
