@@ -31,7 +31,6 @@ from .impulse import (
     ImpulseProblem,
     QVIReport,
     ValueVerification,
-    affine_intervention_operator,
     estimate_cost,
     minimize_over_targets,
     qvi_residual,
@@ -69,7 +68,6 @@ from .race import (
     conditional_decomposition_probabilities,
     race_solve,
     run_race_probability,
-    run_race_probability_two_stage,
     simulate_pattern_race,
 )
 from .renewal import (

@@ -12,14 +12,21 @@ a configuration error too.  ``MAX_ARRIVALS`` bounds the expected
 arrivals of one renewal path and, for ``simulate``, the expected jumps
 ``jump_intensity * horizon`` of the path.
 
-One scenario per config file.  ``kind`` selects the computation:
+One scenario per config file.  ``kind`` selects the computation and its
+tables; ``<output>.csv`` (or ``.json``) holds the first table:
 
-* ``simulate``       -- one jump-diffusion path, written as a path table
+* ``simulate``       -- one jump-diffusion path, as a path table
 * ``renewal-check``  -- a renewal estimator next to its analytic limit
 * ``pattern-expect`` -- expected pattern time, closed form and automaton
 * ``pattern-race``   -- multi-pattern race, exact and optional Monte Carlo
-* ``impulse-solve``  -- benchmark QVI solve, node table plus summary
+* ``impulse-solve``  -- benchmark QVI solve, the node table plus the
+  estimate table ``<output>_summary``
 * ``impulse-verify`` -- value-vs-cost verification of the benchmark
+
+Each executor returns its tables as ``(suffix, columns, rows)`` with text
+cells, and one renderer makes the CSV or JSON.  A scenario's tables are
+written all or none: every table is rendered before the first is
+written, and a failed write removes the ones already written (exit 2).
 """
 
 import argparse
@@ -67,10 +74,6 @@ class Scenario:
     seed: int
     output: str
     parameters: dict
-
-
-def _fmt(value):
-    return f"{float(value):.17g}"
 
 
 def _finite_number(text):
@@ -214,26 +217,31 @@ def _make_source(doc):
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# tables
 
 
-def _write_rows(path, fmt, columns, rows):
-    """Write ``rows`` to ``path`` plus the format's suffix; a suffix in the name stays."""
-    path = path.with_name(path.name + (".json" if fmt == "json" else ".csv"))
+def _floats(values):
+    """A column of floats as text, 17 significant digits each."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _ints(values):
+    """A column of integers (or flags, as 0 and 1) as text."""
+    return [str(v) for v in np.asarray(values, dtype=int).tolist()]
+
+
+def _estimates(entries, suffix=""):
+    """The ``name,value,stderr,n`` table of (name, value, stderr, n) entries."""
+    names, values, stderrs, counts = zip(*entries)
+    rows = list(zip(names, _floats(values), _floats(stderrs), _ints(counts)))
+    return suffix, ("name", "value", "stderr", "n"), rows
+
+
+def _render(fmt, columns, rows):
+    """The text of one table: CSV lines, or a JSON object of columns and rows."""
     if fmt == "json":
-        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
-        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    else:
-        lines = [",".join(columns)]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _estimate_rows(entries):
-    """entries: iterable of (name, value, stderr, n)."""
-    return [(name, _fmt(value), _fmt(stderr), str(int(n)))
-            for name, value, stderr, n in entries]
+        return json.dumps({"columns": columns, "rows": rows}, indent=1) + "\n"
+    return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +261,14 @@ def _run_simulate(params, stream):
         compensated=_flag(params, "compensated", False),
     )
     path = simulate_jump_diffusion(spec, x0, horizon, dt, stream)
-    jump_idx = {rec.index for rec in path.jumps}
-    impulses = {rec.index: rec.impulse for rec in path.interventions}
-    rows = []
-    for k, t in enumerate(path.times):
-        rows.append((
-            _fmt(t), _fmt(path.states[k]),
-            str(int(k in jump_idx)), str(int(k in impulses)),
-            _fmt(impulses.get(k, 0.0)),
-        ))
-    return ("t,x,jump_flag,intervention_flag,impulse".split(","), rows)
+    nodes = np.arange(path.times.size)
+    acts = [rec.index for rec in path.interventions]
+    impulse = np.zeros(nodes.size)
+    impulse[acts] = [rec.impulse for rec in path.interventions]
+    rows = list(zip(_floats(path.times), _floats(path.states),
+                    _ints(np.isin(nodes, [rec.index for rec in path.jumps])),
+                    _ints(np.isin(nodes, acts)), _floats(impulse)))
+    return [("", ("t", "x", "jump_flag", "intervention_flag", "impulse"), rows)]
 
 
 def _run_renewal_check(params, stream):
@@ -341,7 +347,7 @@ def _run_renewal_check(params, stream):
         entries += [("last_renewal_cdf", value, 0.0, 0)]
     else:
         raise ConfigError(f"unknown renewal check: {check}")
-    return ("name,value,stderr,n".split(","), _estimate_rows(entries))
+    return [_estimates(entries)]
 
 
 def _run_pattern_expect(params, stream):
@@ -361,7 +367,7 @@ def _run_pattern_expect(params, stream):
     last = pattern.symbols[-1] if isinstance(source, MarkovChain) else None
     oracle = automaton_expected_time(pattern, source, last_symbol=last)
     entries.append(("automaton", oracle, 0.0, 0))
-    return ("name,value,stderr,n".split(","), _estimate_rows(entries))
+    return [_estimates(entries)]
 
 
 def _run_pattern_race(params, stream):
@@ -386,7 +392,7 @@ def _run_pattern_race(params, stream):
                             sim.n_trials - sim.n_truncated))
         entries.append(("mc_E_T_min", sim.min_time.value, sim.min_time.stderr,
                         sim.min_time.n))
-    return ("name,value,stderr,n".split(","), _estimate_rows(entries))
+    return [_estimates(entries)]
 
 
 def _benchmark_params(params):
@@ -402,18 +408,17 @@ def _run_impulse_solve(params, stream):
     solution = solve_benchmark_qvi(bench)
     problem = make_benchmark_problem(bench)
     report = qvi_residual(problem, solution.candidate)
-    rows = [tuple(map(_fmt, row[:3])) + (row[3],) for row in report.rows()]
-    extra = [
+    rows = list(zip(_floats(report.x), _floats(report.generator_plus_running),
+                    _floats(report.value_minus_intervention), report.region.tolist()))
+    summary = [
         ("band_lo", solution.band[0], 0.0, 0),
         ("band_hi", solution.band[1], 0.0, 0),
         ("value_at_zero", float(solution.candidate.psi(0.0)), 0.0, 0),
         ("qvi_sup_norm", report.sup_norm, 0.0, 0),
-        ("sweeps", float(solution.sweeps), 0.0, 0),
+        ("sweeps", solution.sweeps, 0.0, 0),
     ]
-    return [
-        ("x,L_phi_plus_l,phi_minus_Mphi,region".split(","), rows),
-        ("name,value,stderr,n".split(","), _estimate_rows(extra), "_summary"),
-    ]
+    return [("", ("x", "L_phi_plus_l", "phi_minus_Mphi", "region"), rows),
+            _estimates(summary, "_summary")]
 
 
 def _run_impulse_verify(params, stream):
@@ -423,37 +428,43 @@ def _run_impulse_verify(params, stream):
     horizon = _number(params["horizon"], "horizon") if "horizon" in params else None
     allowance_coeff = _number(params.get("allowance_coeff", 25.0), "allowance_coeff")
     y0_list = params.get("y0", [0.0])
-    if not isinstance(y0_list, list):
-        raise ConfigError("field y0 must be a list of floats")
+    if not isinstance(y0_list, list) or not y0_list:
+        raise ConfigError("field y0 must be a nonempty list of numbers")
     y0_list = [_number(y0, "y0") for y0 in y0_list]
-
-    solution = solve_benchmark_qvi(bench)
-    problem = make_benchmark_problem(bench)
-    policy = synthesize_policy(problem, solution.candidate)
     alt_docs = params.get("alternatives", [{"band_delta": 0.5}, {"target_delta": 0.3}])
     if not isinstance(alt_docs, list):
         raise ConfigError("field alternatives must be a list of perturbation objects")
-    alternatives = []
+    shifts = []
     for doc in alt_docs:
         if not isinstance(doc, dict):
             raise ConfigError("each alternative must be an object")
         band = _number(doc.get("band_delta", 0.0), "alternatives.band_delta")
         target = _number(doc.get("target_delta", 0.0), "alternatives.target_delta")
         label = doc.get("label", f"band{band:+g}_target{target:+g}")
-        alternatives.append((label, policy.shifted(band_delta=band, target_delta=target)))
-    rows = []
+        # a comma or a line break in a label would shift the table's cells
+        if not isinstance(label, str) or not label.isprintable() or "," in label:
+            raise ConfigError(f"field alternatives.label must be printable text without "
+                              f"commas, not {label!r}")
+        shifts.append((label, band, target))
+
+    solution = solve_benchmark_qvi(bench)
+    problem = make_benchmark_problem(bench)
+    policy = synthesize_policy(problem, solution.candidate)
+    alternatives = [(label, policy.shifted(band_delta=band, target_delta=target))
+                    for label, band, target in shifts]
+    entries = []  # (check, y0, phi, cost, stderr, passed)
     for j, y0 in enumerate(y0_list):
         report = verify_value(problem, solution.candidate, policy, y0,
                               alternatives, n_paths, dt, stream.substream(j),
                               allowance_coeff=allowance_coeff, horizon=horizon)
-        rows.append(("equality", _fmt(y0), _fmt(report.candidate_value),
-                     _fmt(report.policy_cost.value), _fmt(report.policy_cost.stderr),
-                     str(int(report.equality_passed))))
-        for entry in report.alternatives:
-            rows.append((f"dominance_{entry.label}", _fmt(y0),
-                         _fmt(report.candidate_value), _fmt(entry.cost.value),
-                         _fmt(entry.cost.stderr), str(int(entry.passed))))
-    return ("check,y0,phi,cost,stderr,passed".split(","), rows)
+        checks = [("equality", report.policy_cost, report.equality_passed)]
+        checks += [(f"dominance_{e.label}", e.cost, e.passed) for e in report.alternatives]
+        entries += [(check, y0, report.candidate_value, cost.value, cost.stderr, passed)
+                    for check, cost, passed in checks]
+    check, y0s, phi, cost, stderr, passed = zip(*entries)
+    rows = list(zip(check, _floats(y0s), _floats(phi), _floats(cost), _floats(stderr),
+                    _ints(passed)))
+    return [("", ("check", "y0", "phi", "cost", "stderr", "passed"), rows)]
 
 
 _EXECUTORS = {
@@ -467,25 +478,25 @@ _EXECUTORS = {
 
 
 def execute_scenario(scenario, out_dir, fmt="csv"):
-    """Run one scenario and write its outputs; returns the written paths."""
+    """Run one scenario and write its tables, all or none; returns the written paths."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
-    stream = derive_stream(scenario.seed, 0)
-    result = _EXECUTORS[scenario.kind](scenario.parameters, stream)
-    if isinstance(result, tuple):
-        result = [result]
+    tables = _EXECUTORS[scenario.kind](scenario.parameters, derive_stream(scenario.seed, 0))
+    texts = [(out_dir / f"{scenario.output}{suffix}.{fmt}", _render(fmt, columns, rows))
+             for suffix, columns, rows in tables]
     written = []
-    for item in result:
-        columns, rows = item[0], item[1]
-        suffix = item[2] if len(item) > 2 else ""
-        try:
-            path = _write_rows(out_dir / (scenario.output + suffix), fmt, columns, rows)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from exc
-        written.append(path)
+    try:
+        for path, text in texts:
+            with path.open("w", encoding="utf-8") as handle:
+                written.append(path)  # opened, so truncated: this run's file now
+                handle.write(text)
+    except (OSError, UnicodeError) as exc:  # UnicodeError: an output name utf-8 refuses
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output: {exc}") from exc
     return written
 
 

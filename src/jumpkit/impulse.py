@@ -230,15 +230,6 @@ class QVIReport:
     interior: np.ndarray
     sup_norm: float
 
-    def rows(self):
-        for i in range(self.x.size):
-            yield (
-                float(self.x[i]),
-                float(self.generator_plus_running[i]),
-                float(self.value_minus_intervention[i]),
-                str(self.region[i]),
-            )
-
 
 # ---------------------------------------------------------------------------
 # intervention operator
@@ -255,7 +246,7 @@ _BLOCK_SIZE = 256  # paths per block of a cost estimate, one substream each
 _REGION_TOL = 1e-4  # synthesize_policy's continuation nodes have M phi - phi above this
 
 
-def affine_intervention_operator(values, x, fixed, proportional):
+def _affine_envelope(values, x, fixed, proportional):
     """M psi at the nodes for the cost ``fixed + proportional * |z|``.
 
     ``values`` are psi at the increasing nodes ``x``, read as the
@@ -265,16 +256,11 @@ def affine_intervention_operator(values, x, fixed, proportional):
     lower envelope min_j psi_j + proportional |x_j - x_i| (an L1 distance
     transform): one running minimum of psi - proportional x from the
     left and one of psi + proportional x from the right, O(n) in all.
-    Returns ``(values, targets)`` like :func:`minimize_over_targets`, the
-    general search, with each target the minimising node; exact ties go
-    to the smallest impulse, as in the dense search.
+    Returns ``(values, pick)``: M psi and the index of each node's
+    minimising target node, so ``x[pick]`` are the targets that
+    :func:`minimize_over_targets`, the general search, finds; exact ties
+    go to the smallest impulse, as in the dense search.
     """
-    m_vals, pick = _affine_envelope(values, x, fixed, proportional)
-    return m_vals, np.asarray(x, dtype=float)[pick]
-
-
-def _affine_envelope(values, x, fixed, proportional):
-    """:func:`affine_intervention_operator` with target node indices."""
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     if values.ndim != 1 or values.shape != x.shape:

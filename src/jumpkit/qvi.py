@@ -23,11 +23,11 @@ loop stops once a sweep repeats the branches and the targets of the
 sweep before and the update is at rounding level.
 
 Each sweep costs O(n) plus one sparse solve.  The obstacle values and
-targets come from :func:`~jumpkit.impulse.affine_intervention_operator`,
-the L1 distance transform of the piecewise-linear iterate (the dense
-search of ``minimize_over_targets`` gives the same values and targets in
-O(n^2)).  The number of sweeps still grows with n: once the band is too
-narrow it widens by about one node per sweep.
+targets come from ``impulse._affine_envelope``, the L1 distance
+transform of the piecewise-linear iterate (the dense search of
+``minimize_over_targets`` gives the same values and targets in O(n^2)).
+The number of sweeps still grows with n: once the band is too narrow it
+widens by about one node per sweep.
 """
 
 from dataclasses import dataclass

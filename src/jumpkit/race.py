@@ -201,16 +201,6 @@ def run_race_probability(n, m, p):
     return p ** (n - 1) * (1.0 - q**m) / (q ** (m - 1) + p ** (n - 1) - q ** (m - 1) * p ** (n - 1))
 
 
-def run_race_probability_two_stage(n, m, r, p1, p2):
-    """Two-stage run race: n ones beat m zeros, then r twos beat m zeros.
-
-    The stages are independent once the first resolves, so the joint
-    probability is the product of two single-stage factors with their own
-    parameters.
-    """
-    return run_race_probability(n, m, p1) * run_race_probability(r, m, p2)
-
-
 def simulate_pattern_race(patterns, source, n_trials, stream, initial_state=None):
     """Monte Carlo race: empirical win probabilities and minimum time.
 

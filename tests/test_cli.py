@@ -325,10 +325,16 @@ EXPECT_DOC = {
     _with_parameters(EXPECT_DOC, closed_form="no"),
     _with_parameters(EXPECT_DOC, strict=1),
     _with_parameters(SIMULATE_DOC, compensated="false"),
+    # a label must fit in one CSV cell, and y0 must name at least one start
+    _with_parameters(IMPULSE_VERIFY_DOC, alternatives=[{"band_delta": 0.5, "label": "wide,band"}]),
+    _with_parameters(IMPULSE_VERIFY_DOC, alternatives=[{"band_delta": 0.5, "label": ["x"]}]),
+    _with_parameters(IMPULSE_VERIFY_DOC, alternatives=[{"label": "\ud800"}]),
+    _with_parameters(IMPULSE_VERIFY_DOC, y0=[]),
 ], ids=["benchmark-str", "benchmark-list", "benchmark-bool", "y0-str", "alternative-str",
         "verify-dt-huge-int", "iid-probs-str", "markov-entry-str", "markov-ragged",
         "n-trials-str", "jump-intensity-str", "simulate-dt-huge-int",
-        "closed-form-str", "strict-int", "compensated-str"])
+        "closed-form-str", "strict-int", "compensated-str", "label-comma", "label-list",
+        "label-surrogate", "y0-empty"])
 def test_wrong_typed_numbers_exit_code(tmp_path, capsys, doc):
     code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
     assert code == 2
@@ -588,3 +594,193 @@ def test_lattice_mode_with_a_delay_exit_code(tmp_path, capsys):
     assert code == 4
     assert "hypothesis violation" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_failed_write_leaves_no_table_of_the_scenario(tmp_path, capsys):
+    # the summary table cannot be written, so the node table, written
+    # first in file order, must not stay behind either
+    (tmp_path / "x_summary.csv").mkdir()
+    config = write_config(tmp_path, {**IMPULSE_SOLVE_DOC, "output": "x"})
+    code = main(["--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write output: ")
+    assert not (tmp_path / "x.csv").exists()
+    assert not list((tmp_path / "x_summary.csv").iterdir())
+
+
+def test_output_name_utf8_cannot_encode_exit_code(tmp_path, capsys):
+    # a lone surrogate is valid JSON but no file name holds it
+    out = tmp_path / "out"
+    config = write_config(tmp_path, {**EXPECT_DOC, "output": "\ud800"})
+    for fmt in ("csv", "json"):
+        assert main(["--config", str(config), "--out", str(out), "--format", fmt]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output: ")
+    assert not list(out.iterdir())
+
+
+def test_verify_refuses_its_fields_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the QVI was solved for a refused config")
+
+    monkeypatch.setattr(jumpkit.cli, "solve_benchmark_qvi", no_solve)
+    for doc in (_with_parameters(IMPULSE_VERIFY_DOC, alternatives=[{"label": "a\nb"}]),
+                _with_parameters(IMPULSE_VERIFY_DOC, y0=[])):
+        code = main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: field ")
+
+
+# ---------------------------------------------------------------------------
+# every kind's tables against the library's result, rendered cell by cell
+
+
+def _cell(value):
+    """The per-cell rule: a float to 17 significant digits."""
+    return f"{float(value):.17g}"
+
+
+def _estimate_cells(entries):
+    return [(name, _cell(value), _cell(stderr), str(int(n))) for name, value, stderr, n in entries]
+
+
+def _rendered(fmt, columns, rows):
+    if fmt == "json":
+        payload = {"columns": list(columns), "rows": [list(row) for row in rows]}
+        return json.dumps(payload, indent=1) + "\n"
+    lines = [",".join(columns)] + [",".join(str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+ESTIMATE_COLUMNS = ["name", "value", "stderr", "n"]
+
+
+def _simulate_oracle():
+    doc = {"kind": "simulate", "seed": 11, "parameters": {
+        "x0": 1.0, "horizon": 4.0, "dt": 0.01,
+        "drift": {"type": "linear", "rate": -1.0},
+        "diffusion": {"type": "constant", "value": 0.3},
+        "jump_intensity": 2.0,
+        "marks": {"type": "discrete", "values": [1.0, -0.5], "probs": [0.5, 0.5]}}}
+    spec = jumpkit.JumpDiffusionSpec(
+        drift=lambda t, x: -1.0 * np.asarray(x, dtype=float),
+        diffusion=lambda t, x: np.full(np.shape(x), 0.3, dtype=float),
+        jump_intensity=2.0,
+        mark_distribution=jumpkit.Discrete(values=[1.0, -0.5], probs=[0.5, 0.5]))
+    path = jumpkit.simulate_jump_diffusion(spec, 1.0, 4.0, 0.01, jumpkit.derive_stream(11, 0))
+    assert len(path.jumps) >= 3
+    jump_idx = {rec.index for rec in path.jumps}
+    impulses = {rec.index: rec.impulse for rec in path.interventions}
+    rows = [(_cell(t), _cell(path.states[k]), str(int(k in jump_idx)),
+             str(int(k in impulses)), _cell(impulses.get(k, 0.0)))
+            for k, t in enumerate(path.times)]
+    return doc, {"": (["t", "x", "jump_flag", "intervention_flag", "impulse"], rows)}
+
+
+def _renewal_check_oracle():
+    doc = {"kind": "renewal-check", "seed": 6, "parameters": {
+        "check": "delayed", "interarrival": {"type": "exponential", "rate": 1.0},
+        "delay": {"type": "deterministic", "value": 0.5}, "t": 8.0, "n_paths": 300}}
+    spec = jumpkit.RenewalSpec(interarrival=jumpkit.Exponential(rate=1.0),
+                               delay=jumpkit.Deterministic(value=0.5))
+    mean, age, age_limit = jumpkit.delayed_renewal_stats(spec, 8.0, 300,
+                                                         jumpkit.derive_stream(6, 0))
+    entries = [("mean_process", mean.value, mean.stderr, mean.n),
+               ("age", age.value, age.stderr, age.n), ("age_limit", age_limit, 0.0, 0)]
+    return doc, {"": (ESTIMATE_COLUMNS, _estimate_cells(entries))}
+
+
+MARKOV_SOURCE = {"type": "markov", "states": [0, 1], "matrix": [[0.3, 0.7], [0.6, 0.4]]}
+
+
+def _markov_chain():
+    return jumpkit.MarkovChain(matrix=np.asarray(MARKOV_SOURCE["matrix"]), states=(0, 1))
+
+
+def _pattern_expect_oracle():
+    doc = {"kind": "pattern-expect", "seed": 1,
+           "parameters": {"pattern": [0, 1, 1], "x0": 1, "source": MARKOV_SOURCE}}
+    pattern, chain = jumpkit.Pattern((0, 1, 1)), _markov_chain()
+    entries = [("closed_form", jumpkit.expected_time_markov(pattern, chain, x0=1), 0.0, 0),
+               ("automaton", jumpkit.automaton_expected_time(pattern, chain, last_symbol=1),
+                0.0, 0)]
+    return doc, {"": (ESTIMATE_COLUMNS, _estimate_cells(entries))}
+
+
+def _pattern_race_oracle():
+    doc = {"kind": "pattern-race", "seed": 2, "parameters": {
+        "patterns": [[1, 0, 1], [0, 0]], "source": MARKOV_SOURCE, "initial_state": 1,
+        "n_trials": 3000}}
+    patterns, chain = [jumpkit.Pattern((1, 0, 1)), jumpkit.Pattern((0, 0))], _markov_chain()
+    exact = jumpkit.race_solve(patterns, chain, initial_state=1)
+    sim = jumpkit.simulate_pattern_race(patterns, chain, 3000, jumpkit.derive_stream(2, 0),
+                                        initial_state=1)
+    entries = [(f"P_{i + 1}", p, 0.0, 0) for i, p in enumerate(exact.probabilities)]
+    entries.append(("E_T_min", exact.expected_min_time, 0.0, 0))
+    entries += [(f"E_T_{i + 1}", e, 0.0, 0) for i, e in enumerate(exact.expected_times)]
+    entries += [(f"mc_P_{i + 1}", sim.probabilities[i], sim.prob_stderr[i],
+                 sim.n_trials - sim.n_truncated) for i in range(2)]
+    entries.append(("mc_E_T_min", sim.min_time.value, sim.min_time.stderr, sim.min_time.n))
+    return doc, {"": (ESTIMATE_COLUMNS, _estimate_cells(entries))}
+
+
+def _impulse_solve_oracle():
+    doc = _with_parameters(IMPULSE_SOLVE_DOC, benchmark={"grid_step": 0.02,
+                                                         "fixed_cost": 0.95})
+    params = jumpkit.BenchmarkParams(grid_step=0.02, fixed_cost=0.95)
+    solution = jumpkit.solve_benchmark_qvi(params)
+    report = jumpkit.qvi_residual(jumpkit.make_benchmark_problem(params), solution.candidate)
+    nodes = [(_cell(x), _cell(g), _cell(v), str(r))
+             for x, g, v, r in zip(report.x, report.generator_plus_running,
+                                   report.value_minus_intervention, report.region)]
+    summary = [("band_lo", solution.band[0], 0.0, 0), ("band_hi", solution.band[1], 0.0, 0),
+               ("value_at_zero", solution.candidate.psi(0.0), 0.0, 0),
+               ("qvi_sup_norm", report.sup_norm, 0.0, 0), ("sweeps", solution.sweeps, 0.0, 0)]
+    return doc, {"": (["x", "L_phi_plus_l", "phi_minus_Mphi", "region"], nodes),
+                 "_summary": (ESTIMATE_COLUMNS, _estimate_cells(summary))}
+
+
+def _impulse_verify_oracle():
+    doc = _with_parameters(IMPULSE_VERIFY_DOC, n_paths=16, horizon=4.0, y0=[0.0, -0.4],
+                           alternatives=[{"band_delta": 0.2, "label": "wide"},
+                                         {"target_delta": 0.1}])
+    params = jumpkit.BenchmarkParams(grid_step=0.02)
+    solution = jumpkit.solve_benchmark_qvi(params)
+    problem = jumpkit.make_benchmark_problem(params)
+    policy = jumpkit.synthesize_policy(problem, solution.candidate)
+    alternatives = [("wide", policy.shifted(band_delta=0.2)),
+                    ("band+0_target+0.1", policy.shifted(target_delta=0.1))]
+    stream = jumpkit.derive_stream(IMPULSE_VERIFY_DOC["seed"], 0)
+    rows = []
+    for j, y0 in enumerate((0.0, -0.4)):
+        report = jumpkit.verify_value(problem, solution.candidate, policy, y0, alternatives,
+                                      16, 0.01, stream.substream(j), horizon=4.0)
+        checks = [("equality", report.policy_cost, report.equality_passed)]
+        checks += [(f"dominance_{e.label}", e.cost, e.passed) for e in report.alternatives]
+        rows += [(check, _cell(y0), _cell(report.candidate_value), _cell(cost.value),
+                  _cell(cost.stderr), str(int(passed))) for check, cost, passed in checks]
+    return doc, {"": (["check", "y0", "phi", "cost", "stderr", "passed"], rows)}
+
+
+ORACLES = {
+    "simulate": _simulate_oracle,
+    "renewal-check": _renewal_check_oracle,
+    "pattern-expect": _pattern_expect_oracle,
+    "pattern-race": _pattern_race_oracle,
+    "impulse-solve": _impulse_solve_oracle,
+    "impulse-verify": _impulse_verify_oracle,
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_tables_equal_the_library_result_rendered_cell_by_cell(tmp_path, kind):
+    doc, tables = ORACLES[kind]()
+    assert doc["kind"] == kind
+    config = write_config(tmp_path, doc)
+    stem = kind.replace("-", "_")
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main(["--config", str(config), "--out", str(out), "--format", fmt]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{stem}{s}.{fmt}" for s in tables)
+        for suffix, (columns, rows) in tables.items():
+            expected = _rendered(fmt, columns, rows).encode("utf-8")
+            assert (out / f"{stem}{suffix}.{fmt}").read_bytes() == expected

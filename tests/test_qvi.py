@@ -18,12 +18,7 @@ from jumpkit import (
 from jumpkit.calculus import ScalarField, generator_apply
 from jumpkit.distributions import Discrete
 from jumpkit.errors import ParameterError
-from jumpkit.impulse import (
-    CandidateValue,
-    ImpulsePolicy,
-    affine_intervention_operator,
-    minimize_over_targets,
-)
+from jumpkit.impulse import CandidateValue, ImpulsePolicy, _affine_envelope, minimize_over_targets
 from jumpkit.qvi import _assemble_operator
 from jumpkit.sde import JumpDiffusionSpec
 
@@ -113,7 +108,7 @@ def _frozen_obstacle_solve(params, max_sweeps=200):
     psi = params.uncontrolled_value(x)
     active_prev = np.zeros(x.size, dtype=bool)
     for sweep in range(1, max_sweeps + 1):
-        obstacle, _ = affine_intervention_operator(psi, x, c, kappa)
+        obstacle, _ = _affine_envelope(psi, x, c, kappa)
         active = psi - obstacle >= operator @ psi - x**2
         active[0] = active[-1] = True
         mixed = sp.diags((~active).astype(float)) @ operator + sp.diags(active.astype(float))

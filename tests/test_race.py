@@ -11,7 +11,6 @@ from jumpkit import (
     derive_stream,
     race_solve,
     run_race_probability,
-    run_race_probability_two_stage,
     simulate_pattern_race,
 )
 from jumpkit import race
@@ -125,10 +124,6 @@ def test_run_race_matches_race_solve():
         assert run_race_probability(n, m, p) == pytest.approx(
             result.probabilities[0], rel=1e-10
         )
-
-
-def test_run_race_two_stage_product():
-    assert run_race_probability_two_stage(2, 3, 2, 0.5, 0.5) == pytest.approx(0.49)
 
 
 def test_simulated_race_single_pattern(stream):
