@@ -35,6 +35,7 @@ every cost estimate.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .calculus import ScalarField, generator_apply
 from .errors import DegeneratePolicyError, NumericalError, ParameterError
@@ -97,7 +98,15 @@ class CandidateValue:
     """Nonnegative candidate value on a grid, time-factored by e^{-rho t}.
 
     Node values are interpolated by a C2 cubic spline (exact at the
-    nodes) and extended linearly beyond the grid.  ``curvature`` is the
+    nodes) and extended linearly beyond the grid.  The spline has de
+    Boor's not-a-knot ends: its slopes at the nodes solve one tridiagonal
+    system, each interval holds a cubic in powers of (x - x_i), and a
+    query is evaluated on the interval to its left, the last interval
+    closed.  The construction repeats scipy's ``CubicSpline`` operation by
+    operation, and a test holds it to ``CubicSpline`` bit for bit, but it
+    needs only ``scipy.linalg.solve_banded``, which the QVI solver's
+    sparse import loads anyway.  Non-finite nodes or values are refused
+    with :class:`ParameterError`.  ``curvature`` is the
     second difference of the interpolant at the grid step: at nodes it
     reproduces the classic three-point stencil, which keeps generator
     evaluations consistent with finite-difference solvers and immune to
@@ -118,12 +127,10 @@ class CandidateValue:
             raise ParameterError("grid must be strictly increasing")
         if np.any(self.values < -1e-12):
             raise ParameterError("candidate values must be nonnegative")
-        from scipy.interpolate import CubicSpline  # deferred: most runs never build one
-
-        self._spline = CubicSpline(self.x, self.values)
-        self._deriv = self._spline.derivative()
-        self._slope_lo = float(self._deriv(self.x[0]))
-        self._slope_hi = float(self._deriv(self.x[-1]))
+        self._coef = _not_a_knot_coefficients(self.x, self.values)
+        self._dcoef = self._coef[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+        self._slope_lo = float(_power_sum(self._dcoef, self.x, self.x[0]))
+        self._slope_hi = float(_power_sum(self._dcoef, self.x, self.x[-1]))
 
     @property
     def step(self):
@@ -133,7 +140,7 @@ class CandidateValue:
         """Stationary part, linearly extended beyond the grid."""
         xq = np.asarray(xq, dtype=float)
         clipped = np.clip(xq, self.x[0], self.x[-1])
-        out = self._spline(clipped)
+        out = _power_sum(self._coef, self.x, clipped)
         out = out + np.where(xq < self.x[0], (xq - self.x[0]) * self._slope_lo, 0.0)
         out = out + np.where(xq > self.x[-1], (xq - self.x[-1]) * self._slope_hi, 0.0)
         return out if out.ndim else float(out)
@@ -141,7 +148,7 @@ class CandidateValue:
     def psi_prime(self, xq):
         xq = np.asarray(xq, dtype=float)
         clipped = np.clip(xq, self.x[0], self.x[-1])
-        out = self._deriv(clipped)
+        out = _power_sum(self._dcoef, self.x, clipped)
         return out if out.ndim else float(out)
 
     def curvature(self, xq):
@@ -160,6 +167,58 @@ class CandidateValue:
             dx=lambda t, x: np.exp(-rho * t) * self.psi_prime(x),
             dxx=lambda t, x: np.exp(-rho * t) * self.curvature(x),
         )
+
+
+def _not_a_knot_coefficients(x, y):
+    """Power-basis coefficients, shape (4, n - 1), of the not-a-knot cubic spline.
+
+    Row k holds the coefficient of (x - x_i)^(3 - k) on interval i.  The
+    slopes at the nodes solve the tridiagonal system with not-a-knot end
+    rows, and the cubics are the Hermite cubics on those slopes, each
+    written with the operations of scipy 1.17's ``CubicSpline`` and
+    ``CubicHermiteSpline`` so that the coefficients carry the same bits.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ParameterError("spline nodes and values must be finite")
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))  # banded: upper diagonal, diagonal, lower diagonal
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    d = x[2] - x[0]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    d = x[-1] - x[-3]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _power_sum(coef, x, xq):
+    """Piecewise polynomial with rows ``coef`` (highest power first) at ``xq``.
+
+    The interval is the one whose left node is the last at or below the
+    query, clipped to the first and last intervals: the count of interior
+    nodes at or below it, ``searchsorted(x, xq, "right") - 1`` clipped to
+    [0, n - 2].  The sum runs from the lowest power up, starting from 0.0,
+    as scipy's ``PPoly`` evaluates it.
+    """
+    i = np.searchsorted(x[1:-1], xq, "right")
+    s = xq - x[i]
+    res = 0.0 + coef[-1, i]
+    z = s
+    for row in coef[-2::-1]:
+        res = res + row[i] * z
+        z = z * s
+    return res
 
 
 @dataclass(frozen=True)

@@ -206,14 +206,20 @@ def test_impulse_solve_and_verify_smoke(tmp_path):
 
 
 def test_cli_and_pattern_race_leave_scipy_interpolate_unloaded(tmp_path):
-    # only a CandidateValue needs scipy.interpolate; the CLI must not pay for its import
-    config = write_config(tmp_path, RACE_DOC)
+    # CandidateValue builds its own spline, so no run pays for importing scipy.interpolate
+    race = write_config(tmp_path, RACE_DOC)
+    solve = write_config(tmp_path, {"kind": "impulse-solve", "seed": 1,
+                                    "parameters": {"benchmark": {"grid_step": 0.02}}}, "s.json")
+    verify = write_config(tmp_path, {"kind": "impulse-verify", "seed": 1,
+                                     "parameters": {"n_paths": 8, "dt": 0.01}}, "v.json")
     script = f"""
 import sys
 import jumpkit.cli
 assert "scipy.interpolate" not in sys.modules, "loaded by import jumpkit.cli"
-assert jumpkit.cli.main(["--config", {str(config)!r}, "--out", {str(tmp_path)!r}]) == 0
-assert "scipy.interpolate" not in sys.modules, "loaded by a pattern-race run"
+for config, kind in [({str(race)!r}, "pattern-race"), ({str(solve)!r}, "impulse-solve"),
+                     ({str(verify)!r}, "impulse-verify")]:
+    assert jumpkit.cli.main(["--config", config, "--out", {str(tmp_path)!r}]) == 0
+    assert "scipy.interpolate" not in sys.modules, "loaded by the " + kind + " run"
 """
     src = str(Path(jumpkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -221,7 +227,8 @@ assert "scipy.interpolate" not in sys.modules, "loaded by a pattern-race run"
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "pattern_race.csv").is_file()
+    for table in ("pattern_race", "impulse_solve", "impulse_verify"):
+        assert (tmp_path / f"{table}.csv").is_file()
 
 
 def test_float_formatting_17_digits(tmp_path):

@@ -19,6 +19,7 @@ from jumpkit import (
     sample_jump_times,
     simulate_controlled,
     simulate_jump_diffusion,
+    solve_benchmark_qvi,
     symmetric_pair,
     synthesize_policy,
     verify_value,
@@ -232,6 +233,67 @@ def test_candidate_rejects_negative_values():
     x = np.linspace(0, 1, 10)
     with pytest.raises(ParameterError):
         CandidateValue(x=x, values=x - 0.5)
+
+
+def _cubic_spline_oracle(cand):
+    """psi, psi_prime and the end slopes as scipy's CubicSpline gives them."""
+    from scipy.interpolate import CubicSpline  # the oracle only; the library never loads it
+
+    x = cand.x
+    spline = CubicSpline(x, cand.values)
+    deriv = spline.derivative()
+    slope_lo, slope_hi = float(deriv(x[0])), float(deriv(x[-1]))
+
+    def psi(xq):
+        out = spline(np.clip(xq, x[0], x[-1]))
+        out = out + np.where(xq < x[0], (xq - x[0]) * slope_lo, 0.0)
+        return out + np.where(xq > x[-1], (xq - x[-1]) * slope_hi, 0.0)
+
+    return psi, lambda xq: deriv(np.clip(xq, x[0], x[-1])), slope_lo, slope_hi
+
+
+def _assert_bit_identical_to_cubic_spline(cand, n_random, seed):
+    psi, psi_prime, slope_lo, slope_hi = _cubic_spline_oracle(cand)
+    x, h = cand.x, cand.step
+    span = x[-1] - x[0]
+    ends = np.array([x[0], x[-1], x[0] - 1e-9, x[-1] + 1e-9, x[0] - 0.3 * span,
+                     x[-1] + 2.5 * span, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)])
+    random = np.random.default_rng(seed).uniform(x[0], x[-1], n_random)
+    assert cand._slope_lo == slope_lo and cand._slope_hi == slope_hi
+    for xq in (x, 0.5 * (x[:-1] + x[1:]), random, ends):
+        assert np.array_equal(cand.psi(xq), psi(xq))
+        assert np.array_equal(cand.psi_prime(xq), psi_prime(xq))
+        oracle_curvature = (psi(xq + h) - 2.0 * psi(xq) + psi(xq - h)) / h**2
+        assert np.array_equal(cand.curvature(xq), oracle_curvature)
+    for xq in ends:  # scalar queries give floats with the same bits
+        assert cand.psi(float(xq)) == float(psi(xq)) and isinstance(cand.psi(float(xq)), float)
+        assert cand.psi_prime(float(xq)) == float(psi_prime(xq))
+
+
+def test_candidate_spline_is_cubic_spline_bit_for_bit_on_the_benchmark():
+    cand = solve_benchmark_qvi(BenchmarkParams(grid_step=0.005)).candidate
+    _assert_bit_identical_to_cubic_spline(cand, 100_000, seed=7)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 50, 1001])
+def test_candidate_spline_is_cubic_spline_bit_for_bit_on_uneven_grids(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+    cand = CandidateValue(x=x, values=rng.uniform(0.0, 2.0, n) + x**2, discount=0.5)
+    _assert_bit_identical_to_cubic_spline(cand, 10_000, seed=n)
+
+
+@pytest.mark.parametrize("where", ["x", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_candidate_refuses_non_finite_nodes_and_values(where, bad):
+    x = np.linspace(0.0, 1.0, 10)
+    values = x + 1.0
+    if where == "x":  # placed where the grid still reads as increasing
+        x[0 if bad < 0 else -1] = bad
+    else:
+        values[2] = bad
+    with pytest.raises(ParameterError):
+        CandidateValue(x=x, values=values)
 
 
 # ---------------------------------------------------------------------------
