@@ -48,8 +48,10 @@ class AffineInterventionCost:
     """The intervention cost e^{-discount t} (fixed + proportional |z|).
 
     A callable like any ``intervention_cost(t, x, z)``; its type declares
-    the cost class for which M phi at the grid nodes is an L1 distance
-    transform, so :func:`synthesize_policy` computes it in O(n).
+    the cost class for which the coarse search for M phi over increasing
+    targets is an L1 lower envelope, so :func:`synthesize_policy` and
+    :func:`qvi_residual` compute it in O(n) (plus a binary search per node
+    when the targets are not the nodes).
     """
 
     fixed: float
@@ -73,7 +75,8 @@ class ImpulseProblem:
 
     The intervention cost's type declares its class: an
     :class:`AffineInterventionCost` gets the O(n) intervention operator in
-    :func:`synthesize_policy`, and any other callable the dense search.
+    :func:`synthesize_policy` and :func:`qvi_residual`, and any other
+    callable the dense search.
     """
 
     dynamics: object
@@ -305,29 +308,46 @@ _BLOCK_SIZE = 256  # paths per block of a cost estimate, one substream each
 _REGION_TOL = 1e-4  # synthesize_policy's continuation nodes have M phi - phi above this
 
 
-def _affine_envelope(values, x, fixed, proportional):
-    """M psi at the nodes for the cost ``fixed + proportional * |z|``.
+def _affine_envelope(values, targets, points, fixed, proportional):
+    """Coarse intervention search at ``points`` over ``targets``, cost ``fixed + proportional |z|``.
 
-    ``values`` are psi at the increasing nodes ``x``, read as the
-    piecewise-linear interpolant, and the targets are the nodes
-    themselves.  The objective psi(w) + proportional |w - x_i| is then
-    piecewise linear with kinks at nodes only, so the infimum is the
-    lower envelope min_j psi_j + proportional |x_j - x_i| (an L1 distance
-    transform): one running minimum of psi - proportional x from the
-    left and one of psi + proportional x from the right, O(n) in all.
-    Returns ``(values, pick)``: M psi and the index of each node's
-    minimising target node, so ``x[pick]`` are the targets that
-    :func:`minimize_over_targets`, the general search, finds; exact ties
-    go to the smallest impulse, as in the dense search.
+    ``values`` are psi at the strictly increasing ``targets``.  The coarse
+    search of :func:`minimize_over_targets` is then the lower envelope
+    min_j values_j + proportional |targets_j - p|, an L1 distance
+    transform.  The targets at or below a point are read from one running
+    minimum of values - proportional targets, up to the last target at or
+    below it (``searchsorted(targets, p, "right") - 1``); those at or
+    above, from one running minimum of values + proportional targets taken
+    from the right, down to the first target at or above it
+    (``searchsorted(targets, p, "left")``).  A point beyond the targets
+    has one side empty.  That is O(len(targets)) plus a binary search per
+    point, none when ``points`` is ``targets``.  Returns ``(envelope,
+    pick)``, ``pick`` the index of each point's winning target: the dense
+    search's pick, exact ties going to the smallest impulse and equal
+    impulses to the lower target.
+
+    The QVI solver passes the nodes as points and targets; with psi read
+    as the piecewise-linear interpolant of the node values the objective
+    then has kinks at nodes only, so the envelope is M psi itself, the
+    solver's obstacle.  :func:`synthesize_policy` (the nodes) and
+    :func:`qvi_residual` (401 uniform targets) take only the picks,
+    through :func:`_intervention_operator`.  Mismatched or empty shapes,
+    targets that are not strictly increasing, points that are not 1-D and
+    a negative ``proportional`` raise :class:`ParameterError`.
     """
     values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.shape != x.shape:
-        raise ParameterError("need matching 1-D arrays of node values and nodes")
+    targets = np.asarray(targets, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if targets.ndim != 1 or targets.size == 0 or values.shape != targets.shape:
+        raise ParameterError("need matching nonempty 1-D arrays of target values and targets")
+    if not np.all(np.diff(targets) > 0):
+        raise ParameterError("targets must be strictly increasing")
+    if points.ndim != 1:
+        raise ParameterError("points must be a 1-D array")
     if proportional < 0:
         raise ParameterError("proportional intervention cost must be nonnegative")
-    slope = proportional * x
-    nodes = np.arange(x.size)
+    slope = proportional * targets
+    nodes = np.arange(targets.size)
     # running argmins: the last node where the running minimum was attained
     # is the winner nearest to each node, from the left and from the right
     left = values - slope
@@ -335,10 +355,22 @@ def _affine_envelope(values, x, fixed, proportional):
     left_pick = np.maximum.accumulate(np.where(left == left_min, nodes, 0))
     right = (values + slope)[::-1]
     right_min = np.minimum.accumulate(right)
-    right_pick = x.size - 1 - np.maximum.accumulate(np.where(right == right_min, nodes, 0))[::-1]
-    fwd = left_min + slope
-    bwd = right_min[::-1] - slope
-    nearer_right = (fwd > bwd) | ((fwd == bwd) & (x[right_pick] - x < x - x[left_pick]))
+    right_pick = nodes[-1] - np.maximum.accumulate(np.where(right == right_min, nodes, 0))[::-1]
+    # below: the number of targets at or below each point; above: the index
+    # of the first target at or above it
+    if points is targets:
+        below, above = nodes + 1, nodes
+    else:
+        below = np.searchsorted(targets, points, "right")
+        above = np.searchsorted(targets, points, "left")
+    # each side padded with an empty set, which reads +inf
+    left_pick = np.append(0, left_pick)[below]
+    right_pick = np.append(right_pick, 0)[above]
+    shift = proportional * points
+    fwd = np.append(np.inf, left_min)[below] + shift
+    bwd = np.append(right_min[::-1], np.inf)[above] - shift
+    nearer_right = (fwd > bwd) | (
+        (fwd == bwd) & (targets[right_pick] - points < points - targets[left_pick]))
     return fixed + np.minimum(fwd, bwd), np.where(nearer_right, right_pick, left_pick)
 
 
@@ -353,11 +385,13 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     targets)``, and its impulse is the best target minus ``y``.
 
     This is the general path, for any cost and candidate, and the oracle
-    for the fast ones: for an :class:`AffineInterventionCost` with the
-    nodes as targets, :func:`synthesize_policy` takes the coarse winners
-    from the O(n) L1 envelope instead and returns the same values and
-    targets.  The coarse search is O(len(points) * len(targets)); it runs
-    in blocks of points, so its memory stays O(len(targets)) per block.
+    for the fast one: for an :class:`AffineInterventionCost`,
+    :func:`_intervention_operator` takes the coarse winners from the L1
+    envelope instead, for :func:`synthesize_policy` (the nodes as
+    targets) and :func:`qvi_residual` (401 uniform targets), and returns
+    the same values and targets bit for bit; tests hold the two paths to
+    that.  The coarse search is O(len(points) * len(targets)); it runs in
+    blocks of points, so its memory stays O(len(targets)) per block.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     targets = np.asarray(targets, dtype=float)
@@ -414,24 +448,28 @@ def _refine_targets(value_fn, cost_fn, points, targets, pick, coarse_f):
     return best_f, best_w
 
 
-def _intervention_operator(problem, candidate):
-    """M psi and its best targets at the candidate's nodes, the nodes being the targets.
+def _intervention_operator(problem, candidate, targets):
+    """M psi and its best targets at the candidate's nodes, searched over ``targets``.
 
-    For an :class:`AffineInterventionCost` the coarse winners come from
-    the O(n) envelope of the spline's node values; their objective is
-    evaluated as the dense search evaluates it, so the refined values and
-    targets equal :func:`minimize_over_targets`'s bit for bit.  Any other
-    cost runs the dense search.
+    The one entry for M psi: :func:`synthesize_policy` passes the nodes
+    and :func:`qvi_residual` its 401 uniform targets.  For an
+    :class:`AffineInterventionCost` the coarse winners are the picks of
+    :func:`_affine_envelope` over the spline's values at the targets,
+    O(len(targets)) plus a binary search per node; their objective is
+    evaluated as the dense search evaluates it, and the golden-section
+    refinement follows, so the values and targets equal
+    :func:`minimize_over_targets`'s bit for bit.  Any other cost runs
+    that dense search.
     """
     x = candidate.x
     _, kost = _stationary_cost(problem)
     cost = problem.intervention_cost
     if not isinstance(cost, AffineInterventionCost):
-        return minimize_over_targets(candidate.psi, kost, x, x)
-    target_values = candidate.psi(x)
-    _, pick = _affine_envelope(target_values, x, cost.fixed, cost.proportional)
-    coarse_f = target_values[pick] + kost(x, x[pick] - x)
-    return _refine_targets(candidate.psi, kost, x, x, pick, coarse_f)
+        return minimize_over_targets(candidate.psi, kost, x, targets)
+    target_values = candidate.psi(targets)
+    _, pick = _affine_envelope(target_values, targets, x, cost.fixed, cost.proportional)
+    coarse_f = target_values[pick] + kost(x, targets[pick] - x)
+    return _refine_targets(candidate.psi, kost, x, targets, pick, coarse_f)
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +498,28 @@ def qvi_residual(problem, candidate):
 
     The sup norm excludes the nodes within one jump reach plus two grid
     steps of the grid ends (one-sided interpolation stencils); all nodes
-    are still reported.  M phi searches 401 uniform targets over the grid.
-    A candidate whose ``discount`` is not the problem's raises
-    :class:`ParameterError`.
+    are still reported.  M phi searches 401 uniform targets over the grid
+    through :func:`_intervention_operator`: the L1 envelope for an
+    :class:`AffineInterventionCost`, the dense search of
+    :func:`minimize_over_targets` for any other cost, with the same bits.
+    The residual stays a check independent of the solver: its targets are
+    not the solver's nodes, its psi is the spline refined by golden-section
+    search between targets rather than the piecewise-linear node values,
+    and tests hold it bit-equal to the dense search.  A candidate whose
+    ``discount`` is not the problem's raises :class:`ParameterError`.
     """
     if candidate.discount != problem.discount:
         raise ParameterError(f"candidate discount {candidate.discount!r} is not the "
                              f"problem's {problem.discount!r}")
     x = candidate.x
-    run, kost = _stationary_cost(problem)
+    run, _ = _stationary_cost(problem)
     field = candidate.as_scalar_field()
     gen_run = np.asarray(
         generator_apply(problem.dynamics, field, 0.0, x), dtype=float
     ) + np.asarray(run(x), dtype=float)
 
     targets = np.linspace(x[0], x[-1], _N_TARGETS)
-    m_vals, _ = minimize_over_targets(candidate.psi, kost, x, targets)
+    m_vals, _ = _intervention_operator(problem, candidate, targets)
     value_minus = candidate.values - m_vals
 
     margin = _jump_reach(problem.dynamics) + 2.0 * candidate.step
@@ -508,13 +552,14 @@ def synthesize_policy(problem, candidate):
     intervention operator at every exterior node and must land strictly
     inside D.
 
-    M phi takes every node as a coarse target.  For an
-    :class:`AffineInterventionCost` the coarse search is the O(n) L1
-    envelope; any other cost runs the dense O(n^2) search of
-    :func:`minimize_over_targets`, which gives the same values and targets.
+    M phi takes every node as a coarse target, through
+    :func:`_intervention_operator`.  For an :class:`AffineInterventionCost`
+    the coarse search is the O(n) L1 envelope; any other cost runs the
+    dense O(n^2) search of :func:`minimize_over_targets`, which gives the
+    same values and targets.
     """
     x = candidate.x
-    m_vals, m_targets = _intervention_operator(problem, candidate)
+    m_vals, m_targets = _intervention_operator(problem, candidate, x)
     gap = m_vals - candidate.values
     inside = gap > _REGION_TOL
     if not np.any(inside):

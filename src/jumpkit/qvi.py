@@ -23,11 +23,18 @@ loop stops once a sweep repeats the branches and the targets of the
 sweep before and the update is at rounding level.
 
 Each sweep costs O(n) plus one sparse solve.  The obstacle values and
-targets come from ``impulse._affine_envelope``, the L1 distance
-transform of the piecewise-linear iterate (the dense search of
-``minimize_over_targets`` gives the same values and targets in O(n^2)).
-The number of sweeps still grows with n: once the band is too narrow it
-widens by about one node per sweep.
+targets come from ``impulse._affine_envelope`` with the nodes as points
+and targets, the L1 distance transform of the piecewise-linear iterate
+(the dense search of ``minimize_over_targets`` gives the same values and
+targets in O(n^2)).  The number of sweeps still grows with n: once the
+band is too narrow it widens by about one node per sweep.
+
+``synthesize_policy`` and ``qvi_residual`` reach the same envelope
+through ``impulse._intervention_operator``, over the nodes and over 401
+uniform targets, and refine its picks on the spline.  The residual stays
+an independent check of this solver: its targets are not the nodes, its
+interpolant is the spline rather than the piecewise-linear iterate, and
+tests hold it bit-equal to the dense search.
 """
 
 from dataclasses import dataclass
@@ -200,7 +207,7 @@ def solve_benchmark_qvi(params=None):
     targets_prev = np.arange(n)
     history = []
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        obstacle, targets = _affine_envelope(psi, x, c, kappa)
+        obstacle, targets = _affine_envelope(psi, x, x, c, kappa)
         pde_viol = operator @ psi - ell
         obs_viol = psi - obstacle
         active = obs_viol >= pde_viol
@@ -230,7 +237,7 @@ def solve_benchmark_qvi(params=None):
     if idx[0] <= dj or idx[-1] >= n - 1 - dj:
         raise NumericalError("continuation band reaches the jump margin; widen the grid")
 
-    obstacle, _ = _affine_envelope(psi, x, c, kappa)
+    obstacle, _ = _affine_envelope(psi, x, x, c, kappa)
     fd_defect = np.minimum(ell - operator @ psi, obstacle - psi)
     interior = slice(dj + 1, n - dj - 1)
     fd_residual = float(np.max(np.abs(fd_defect[interior])))

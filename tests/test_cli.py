@@ -779,6 +779,19 @@ ORACLES = {
 
 
 @pytest.mark.parametrize("kind", list(ORACLES))
+def test_no_kind_runs_the_dense_intervention_search(tmp_path, monkeypatch, kind):
+    # the benchmark's cost is an AffineInterventionCost, so the solver, the
+    # residual and the synthesis all take the O(n) envelope
+    doc, _ = ORACLES[kind]()
+
+    def refuse(*args):
+        raise AssertionError("dense search called")
+
+    monkeypatch.setattr(jumpkit.impulse, "minimize_over_targets", refuse)
+    assert main(["--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("kind", list(ORACLES))
 def test_tables_equal_the_library_result_rendered_cell_by_cell(tmp_path, kind):
     doc, tables = ORACLES[kind]()
     assert doc["kind"] == kind

@@ -114,7 +114,7 @@ def test_affine_operator_matches_dense_search(grid, fixed, proportional):
         dense, dense_targets = minimize_over_targets(
             lambda w: np.interp(w, x, values),
             lambda y, z: fixed + proportional * np.abs(z), x, x)
-        fast, pick = impulse._affine_envelope(values, x, fixed, proportional)
+        fast, pick = impulse._affine_envelope(values, x, x, fixed, proportional)
         np.testing.assert_allclose(fast, dense, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(x[pick], dense_targets)
 
@@ -130,10 +130,10 @@ def test_affine_operator_targets_break_ties_like_dense_search(proportional):
         dense, dense_targets = minimize_over_targets(
             lambda w: np.interp(w, x, values),
             lambda y, z: 1.0 + proportional * np.abs(z), x, x)
-        fast, pick = impulse._affine_envelope(values, x, 1.0, proportional)
+        fast, pick = impulse._affine_envelope(values, x, x, 1.0, proportional)
         np.testing.assert_array_equal(fast, dense)
         np.testing.assert_array_equal(x[pick], dense_targets)
-    flat, pick = impulse._affine_envelope(np.zeros(5), x[:5], 1.0, proportional)
+    flat, pick = impulse._affine_envelope(np.zeros(5), x[:5], x[:5], 1.0, proportional)
     np.testing.assert_array_equal(x[:5][pick], x[:5])  # every node ties with staying put
 
 
@@ -149,12 +149,13 @@ def test_affine_cost_equals_the_lambda_bit_for_bit():
                 assert np.asarray(cost(*args)).tobytes() == np.asarray(old(*args)).tobytes()
 
 
-def _dense_coarse_pick(target_values, cost, x):
-    """The dense search's coarse winner per node: ties within 1e-12 go to the smaller impulse."""
-    obj = target_values[None, :] + cost(0.0, x[:, None], x[None, :] - x[:, None])
+def _dense_coarse_pick(target_values, cost, targets, points):
+    """The dense search's coarse winner per point: ties within 1e-12 go to the smaller impulse."""
+    z = targets[None, :] - points[:, None]
+    obj = target_values[None, :] + cost(0.0, points[:, None], z)
     vmin = obj.min(axis=1, keepdims=True)
     ties = obj <= vmin + 1e-12 * (1.0 + np.abs(vmin))
-    return np.where(ties, np.abs(x[None, :] - x[:, None]), np.inf).argmin(axis=1)
+    return np.where(ties, np.abs(z), np.inf).argmin(axis=1)
 
 
 def test_affine_operator_equals_dense_search_on_random_candidates():
@@ -181,23 +182,97 @@ def test_affine_operator_equals_dense_search_on_random_candidates():
         problem = quiet_problem(intervention_cost=cost, discount=cost.discount,
                                 min_intervention_cost=cost.fixed)
         target_values = cand.psi(x)
-        _, pick = impulse._affine_envelope(target_values, x, cost.fixed, cost.proportional)
-        np.testing.assert_array_equal(pick, _dense_coarse_pick(target_values, cost, x))
+        _, pick = impulse._affine_envelope(target_values, x, x, cost.fixed, cost.proportional)
+        np.testing.assert_array_equal(pick, _dense_coarse_pick(target_values, cost, x, x))
         n_picks += pick.size
         kost = lambda y, z: cost(0.0, y, z)
         dense = minimize_over_targets(cand.psi, kost, x, x)
-        fast = impulse._intervention_operator(problem, cand)
+        fast = impulse._intervention_operator(problem, cand, x)
         np.testing.assert_array_equal(fast[0], dense[0])
         np.testing.assert_array_equal(fast[1], dense[1])
     assert n_picks > 30_000
 
 
+def test_affine_operator_on_other_targets_equals_dense_search():
+    # targets that are not the points: the points come unsorted and some
+    # lie beyond the targets, and a third of the cases are dyadic, their
+    # targets a subset of the nodes, so that many objectives tie exactly.
+    # The envelope's picks must be the dense tie rule's, and the operator
+    # over these targets must refine to the dense search's values and targets.
+    rng = np.random.default_rng(2027)
+    n_picks = n_outside = 0
+    for case in range(300):
+        n = int(rng.integers(8, 121))
+        if case % 3 == 0:
+            x = np.cumsum(rng.integers(1, 3, n)) * 0.25 - 0.125 * n
+            values = rng.integers(0, 5, n) * 0.5
+            targets = x[np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))]
+            points = rng.integers(-8, 9, 2 * n) * 0.125 + rng.choice(x, 2 * n)
+            cost = AffineInterventionCost(float(rng.integers(1, 4)) * 0.5,
+                                          float(rng.integers(0, 5)) * 0.25, 1.0)
+        else:
+            x = np.sort(rng.uniform(-4.0, 4.0, n))
+            while np.any(np.diff(x) <= 0):
+                x = np.sort(rng.uniform(-4.0, 4.0, n))
+            values = x**2 + rng.uniform(0.0, 1.0, n)
+            lo, hi = np.sort(rng.uniform(-5.0, 5.0, 2))
+            targets = np.unique(rng.uniform(lo, hi, int(rng.integers(1, 2 * n))))
+            points = rng.uniform(-6.0, 6.0, 2 * n)
+            cost = AffineInterventionCost(rng.uniform(0.05, 2.0), rng.uniform(0.0, 1.5),
+                                          rng.uniform(0.1, 2.0))
+        cand = CandidateValue(x, values, discount=cost.discount)
+        problem = quiet_problem(intervention_cost=cost, discount=cost.discount,
+                                min_intervention_cost=cost.fixed)
+        target_values = cand.psi(targets)
+        for where in (points, x):
+            _, pick = impulse._affine_envelope(target_values, targets, where,
+                                               cost.fixed, cost.proportional)
+            np.testing.assert_array_equal(pick, _dense_coarse_pick(target_values, cost,
+                                                                   targets, where))
+            n_picks += pick.size
+            n_outside += np.count_nonzero((where < targets[0]) | (where > targets[-1]))
+        kost = lambda y, z: cost(0.0, y, z)
+        dense = minimize_over_targets(cand.psi, kost, x, targets)
+        fast = impulse._intervention_operator(problem, cand, targets)
+        np.testing.assert_array_equal(fast[0], dense[0])
+        np.testing.assert_array_equal(fast[1], dense[1])
+    assert n_picks > 40_000 and n_outside > 5_000
+
+
+def test_affine_operator_on_the_nodes_takes_no_search():
+    # the nodes passed as both points and targets skip the binary searches;
+    # an equal copy of the nodes takes them, and gives the same bits
+    rng = np.random.default_rng(8)
+    x = np.sort(rng.uniform(-3.0, 3.0, 300))
+    values = x**2 + rng.uniform(0.0, 1.0, x.size)
+    same = impulse._affine_envelope(values, x, x, 0.5, 0.4)
+    copy = impulse._affine_envelope(values, x, x.copy(), 0.5, 0.4)
+    np.testing.assert_array_equal(same[0], copy[0])
+    np.testing.assert_array_equal(same[1], copy[1])
+
+
 def test_affine_operator_rejects_bad_input():
     x = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ParameterError):
-        impulse._affine_envelope(x[:4], x, 1.0, 0.3)
+        impulse._affine_envelope(x[:4], x, x, 1.0, 0.3)
     with pytest.raises(ParameterError):
-        impulse._affine_envelope(x, x, 1.0, -0.3)
+        impulse._affine_envelope(x, x, x, 1.0, -0.3)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        impulse._affine_envelope(x, x[::-1], x, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        impulse._affine_envelope(x, np.array([0.0, 0.25, 0.25, 0.5, 1.0]), x, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        impulse._affine_envelope(x, np.array([0.0, 0.25, np.nan, 0.5, 1.0]), x, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="target values"):
+        impulse._affine_envelope(x[:, None], x, x, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="target values"):
+        impulse._affine_envelope(np.empty(0), np.empty(0), x, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="points"):
+        impulse._affine_envelope(x, x, x[:, None], 1.0, 0.3)
+    with pytest.raises(ParameterError, match="points"):
+        impulse._affine_envelope(x, x, 0.5, 1.0, 0.3)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        impulse._affine_envelope(x, x, np.array([2.0, -1.0]), 1.0, -0.3)
 
 
 def test_coarse_search_blocks_leave_results_unchanged():

@@ -108,7 +108,7 @@ def _frozen_obstacle_solve(params, max_sweeps=200):
     psi = params.uncontrolled_value(x)
     active_prev = np.zeros(x.size, dtype=bool)
     for sweep in range(1, max_sweeps + 1):
-        obstacle, _ = _affine_envelope(psi, x, c, kappa)
+        obstacle, _ = _affine_envelope(psi, x, x, c, kappa)
         active = psi - obstacle >= operator @ psi - x**2
         active[0] = active[-1] = True
         mixed = sp.diags((~active).astype(float)) @ operator + sp.diags(active.astype(float))
@@ -263,11 +263,12 @@ def test_affine_operator_synthesizes_the_dense_search_policy(h, monkeypatch):
     problem = make_benchmark_problem(params)
     kost = lambda x, z: problem.intervention_cost(0.0, x, z)
     dense = minimize_over_targets(cand.psi, kost, cand.x, cand.x)
-    fast = impulse._intervention_operator(problem, cand)
+    fast = impulse._intervention_operator(problem, cand, cand.x)
     np.testing.assert_array_equal(fast[0], dense[0])
     np.testing.assert_array_equal(fast[1], dense[1])
     policy = synthesize_policy(problem, cand)
-    monkeypatch.setattr(impulse, "_intervention_operator", lambda problem, candidate: dense)
+    monkeypatch.setattr(impulse, "_intervention_operator",
+                        lambda problem, candidate, targets: dense)
     oracle = synthesize_policy(problem, cand)
     assert policy.intervals == oracle.intervals
     np.testing.assert_array_equal(policy.grid, oracle.grid)
@@ -290,6 +291,59 @@ def test_synthesis_skips_the_dense_search_only_for_the_affine_cost(solution, pro
         synthesize_policy(plain, solution.candidate)
     assert policy.intervals == oracle.intervals
     np.testing.assert_array_equal(policy.targets, oracle.targets)
+
+
+def _dense_residual(problem, candidate, monkeypatch):
+    """qvi_residual with M phi from the dense search over 401 uniform targets."""
+    x = candidate.x
+    kost = lambda y, z: problem.intervention_cost(0.0, y, z)
+    dense = minimize_over_targets(candidate.psi, kost, x, np.linspace(x[0], x[-1], 401))
+    with monkeypatch.context() as patch:
+        patch.setattr(impulse, "_intervention_operator", lambda problem, candidate, targets: dense)
+        return qvi_residual(problem, candidate)
+
+
+# (fixed, proportional) pairs of the CLI impulse-solve benchmark workload
+BENCHMARK_COSTS = [(1.0, 0.2), (1.0, 0.3), (0.95, 0.35), (1.05, 0.25), (1.05, 0.3)]
+
+
+@pytest.mark.parametrize("h, c, kappa", [
+    (0.005, c, kappa) for c, kappa in BENCHMARK_COSTS
+] + [(0.0025, 1.0, 0.3), (0.00125, 1.0, 0.3),
+     pytest.param(0.000625, 1.0, 0.3, marks=pytest.mark.slow)])
+def test_residual_equals_the_dense_search_residual(h, c, kappa, monkeypatch):
+    # the envelope over the residual's 401 uniform targets against the
+    # dense search it replaces there: the report agrees bit for bit
+    params = BenchmarkParams(grid_step=h, fixed_cost=c, proportional_cost=kappa)
+    cand = solve_benchmark_qvi(params).candidate
+    problem = make_benchmark_problem(params)
+    report = qvi_residual(problem, cand)
+    oracle = _dense_residual(problem, cand, monkeypatch)
+    np.testing.assert_array_equal(report.value_minus_intervention,
+                                  oracle.value_minus_intervention)
+    np.testing.assert_array_equal(report.region, oracle.region)
+    assert report.sup_norm == oracle.sup_norm
+    assert report.sup_norm <= 1e-3
+
+
+def test_residual_skips_the_dense_search_only_for_the_affine_cost(solution, problem,
+                                                                 monkeypatch):
+    rho, c, kappa = problem.discount, 1.0, 0.3
+    plain = dataclasses.replace(
+        problem, intervention_cost=lambda t, x, z: np.exp(-rho * t) * (c + kappa * np.abs(z)))
+    oracle = qvi_residual(plain, solution.candidate)
+
+    def refuse(*args):
+        raise AssertionError("dense search called")
+
+    monkeypatch.setattr(impulse, "minimize_over_targets", refuse)
+    report = qvi_residual(problem, solution.candidate)
+    with pytest.raises(AssertionError, match="dense search called"):
+        qvi_residual(plain, solution.candidate)
+    np.testing.assert_array_equal(report.value_minus_intervention,
+                                  oracle.value_minus_intervention)
+    np.testing.assert_array_equal(report.region, oracle.region)
+    assert report.sup_norm == oracle.sup_norm
 
 
 def test_quick_value_consistency(solution, problem, stream):
