@@ -320,11 +320,14 @@ def _affine_envelope(values, targets, points, fixed, proportional):
     above, from one running minimum of values + proportional targets taken
     from the right, down to the first target at or above it
     (``searchsorted(targets, p, "left")``).  A point beyond the targets
-    has one side empty.  That is O(len(targets)) plus a binary search per
-    point, none when ``points`` is ``targets``.  Returns ``(envelope,
-    pick)``, ``pick`` the index of each point's winning target: the dense
-    search's pick, exact ties going to the smallest impulse and equal
-    impulses to the lower target.
+    has one side empty.  That is O(len(targets)) plus two binary searches
+    per point.  Returns ``(envelope, pick)``, ``pick`` the index of each
+    point's winning target: exact ties go to the smallest impulse and
+    equal impulses to the lower target.  The dense search counts as tied
+    every objective within 1e-12 (1 + |min|) of its minimum, so the two
+    picks agree where those objectives are one, or are equal in both
+    roundings (as with dyadic data); a near-tie that is not exact can go to
+    the smaller objective here and to the smaller impulse there.
 
     The QVI solver passes the nodes as points and targets; with psi read
     as the piecewise-linear interpolant of the node values the objective
@@ -358,11 +361,8 @@ def _affine_envelope(values, targets, points, fixed, proportional):
     right_pick = nodes[-1] - np.maximum.accumulate(np.where(right == right_min, nodes, 0))[::-1]
     # below: the number of targets at or below each point; above: the index
     # of the first target at or above it
-    if points is targets:
-        below, above = nodes + 1, nodes
-    else:
-        below = np.searchsorted(targets, points, "right")
-        above = np.searchsorted(targets, points, "left")
+    below = np.searchsorted(targets, points, "right")
+    above = np.searchsorted(targets, points, "left")
     # each side padded with an empty set, which reads +inf
     left_pick = np.append(0, left_pick)[below]
     right_pick = np.append(right_pick, 0)[above]
@@ -388,9 +388,12 @@ def minimize_over_targets(value_fn, cost_fn, points, targets):
     for the fast one: for an :class:`AffineInterventionCost`,
     :func:`_intervention_operator` takes the coarse winners from the L1
     envelope instead, for :func:`synthesize_policy` (the nodes as
-    targets) and :func:`qvi_residual` (401 uniform targets), and returns
-    the same values and targets bit for bit; tests hold the two paths to
-    that.  The coarse search is O(len(points) * len(targets)); it runs in
+    targets) and :func:`qvi_residual` (401 uniform targets).  The two
+    paths return the same values and targets bit for bit unless the coarse
+    search meets a near-tie, two objectives within its 1e-12 tolerance but
+    not equal, where the envelope may pick another coarse winner (see
+    :func:`_affine_envelope`); seeded tests and the benchmark grids hold
+    them to equality.  The coarse search is O(len(points) * len(targets)); it runs in
     blocks of points, so its memory stays O(len(targets)) per block.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -455,11 +458,12 @@ def _intervention_operator(problem, candidate, targets):
     and :func:`qvi_residual` its 401 uniform targets.  For an
     :class:`AffineInterventionCost` the coarse winners are the picks of
     :func:`_affine_envelope` over the spline's values at the targets,
-    O(len(targets)) plus a binary search per node; their objective is
+    O(len(targets)) plus two binary searches per node; their objective is
     evaluated as the dense search evaluates it, and the golden-section
     refinement follows, so the values and targets equal
-    :func:`minimize_over_targets`'s bit for bit.  Any other cost runs
-    that dense search.
+    :func:`minimize_over_targets`'s bit for bit wherever the coarse
+    winners do, which fails only at near-ties (see :func:`_affine_envelope`).
+    Any other cost runs that dense search.
     """
     x = candidate.x
     _, kost = _stationary_cost(problem)
@@ -501,11 +505,13 @@ def qvi_residual(problem, candidate):
     are still reported.  M phi searches 401 uniform targets over the grid
     through :func:`_intervention_operator`: the L1 envelope for an
     :class:`AffineInterventionCost`, the dense search of
-    :func:`minimize_over_targets` for any other cost, with the same bits.
-    The residual stays a check independent of the solver: its targets are
-    not the solver's nodes, its psi is the spline refined by golden-section
-    search between targets rather than the piecewise-linear node values,
-    and tests hold it bit-equal to the dense search.  A candidate whose
+    :func:`minimize_over_targets` for any other cost.  The two give the
+    same bits except at a near-tie of the coarse search (see
+    :func:`_affine_envelope`).  The residual stays a check independent of
+    the solver: its targets are not the solver's nodes, its psi is the
+    spline refined by golden-section search between targets rather than
+    the piecewise-linear node values, and tests hold it bit-equal to the
+    dense search on the benchmark grids.  A candidate whose
     ``discount`` is not the problem's raises :class:`ParameterError`.
     """
     if candidate.discount != problem.discount:

@@ -25,8 +25,8 @@ sweep before and the update is at rounding level.
 Each sweep costs O(n) plus one sparse solve.  The obstacle values and
 targets come from ``impulse._affine_envelope`` with the nodes as points
 and targets, the L1 distance transform of the piecewise-linear iterate
-(the dense search of ``minimize_over_targets`` gives the same values and
-targets in O(n^2)).  The number of sweeps still grows with n: once the
+(the dense search of ``minimize_over_targets`` gives the same targets,
+short of near-ties inside its 1e-12 tie tolerance, in O(n^2)).  The number of sweeps still grows with n: once the
 band is too narrow it widens by about one node per sweep.
 
 ``synthesize_policy`` and ``qvi_residual`` reach the same envelope
@@ -34,7 +34,7 @@ through ``impulse._intervention_operator``, over the nodes and over 401
 uniform targets, and refine its picks on the spline.  The residual stays
 an independent check of this solver: its targets are not the nodes, its
 interpolant is the spline rather than the piecewise-linear iterate, and
-tests hold it bit-equal to the dense search.
+tests hold it bit-equal to the dense search on the benchmark grids.
 """
 
 from dataclasses import dataclass

@@ -237,18 +237,17 @@ def test_affine_operator_on_other_targets_equals_dense_search():
         np.testing.assert_array_equal(fast[0], dense[0])
         np.testing.assert_array_equal(fast[1], dense[1])
     assert n_picks > 40_000 and n_outside > 5_000
-
-
-def test_affine_operator_on_the_nodes_takes_no_search():
-    # the nodes passed as both points and targets skip the binary searches;
-    # an equal copy of the nodes takes them, and gives the same bits
-    rng = np.random.default_rng(8)
-    x = np.sort(rng.uniform(-3.0, 3.0, 300))
-    values = x**2 + rng.uniform(0.0, 1.0, x.size)
-    same = impulse._affine_envelope(values, x, x, 0.5, 0.4)
-    copy = impulse._affine_envelope(values, x, x.copy(), 0.5, 0.4)
-    np.testing.assert_array_equal(same[0], copy[0])
-    np.testing.assert_array_equal(same[1], copy[1])
+    # the documented difference: at point 2 the objectives at targets 0 and 1
+    # are 2 and 2 + 2**-50, inside the dense rule's 1e-12 tolerance but not
+    # equal, so the dense search takes the smaller impulse (target 1) and the
+    # envelope the smaller objective (target 0)
+    targets = np.array([0.0, 1.0, 2.0])
+    values = np.array([0.0, 0.5 + 2.0**-50, 10.0])
+    point = np.array([2.0])
+    _, pick = impulse._affine_envelope(values, targets, point, 1.0, 0.5)
+    assert pick.tolist() == [0]
+    assert _dense_coarse_pick(values, AffineInterventionCost(1.0, 0.5, 1.0),
+                              targets, point).tolist() == [1]
 
 
 def test_affine_operator_rejects_bad_input():
